@@ -11,8 +11,10 @@
 #ifndef CUNDEF_BENCH_BENCHUTIL_H
 #define CUNDEF_BENCH_BENCHUTIL_H
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace cundef_bench {
 
@@ -40,6 +42,13 @@ inline std::string deepTreeProgram(unsigned K, unsigned Cells,
   }
   S += "  return t > 0 ? 0 : 1;\n}\n";
   return S;
+}
+
+/// The median of repeated wall-clock samples (the upper middle one for
+/// an even count), which timing gates compare instead of one sample.
+inline double median(std::vector<double> Ms) {
+  std::sort(Ms.begin(), Ms.end());
+  return Ms.empty() ? 0.0 : Ms[Ms.size() / 2];
 }
 
 /// Writes \p Json to \p Path, reporting on stdout like the benches'

@@ -31,6 +31,16 @@
 // matrix). Wall-clock numbers are informational: CI containers may
 // have one core.
 //
+// One case is a gate in both modes: the eviction gate runs
+// deepTreeProgram(10, 512) through the production engine path
+// (AnalysisEngine, --search=5000, 1 worker). Its peak frontier (810)
+// fits the 1024-snapshot budget, so the committed search must evict
+// nothing and commit exactly 2782 orders — both deterministic. Its
+// wall clock, the median of interleaved repetitions, must also stay
+// within EvictWallBound of the wave reference engine on the same tree,
+// so a change that silently demotes forks to prefix replay (~5x slower
+// on this tree) fails here.
+//
 // Every run also appends a machine-readable BENCH_search.json
 // (--json=PATH to relocate) with per-case (engine, sched, jobs,
 // wall-ms, runs, dedup rate, steals) records so the perf trajectory is
@@ -142,6 +152,18 @@ Measured measureForced(const AstContext &Ast, const SearchOptions &SO,
   auto End = std::chrono::steady_clock::now();
   M.Millis = std::chrono::duration<double, std::milli>(End - Start).count();
   return M;
+}
+
+/// One engine-path analysis (what kcc runs), timed around runSource.
+DriverOutcome timedRun(const AnalysisRequest &Req, const std::string &Source,
+                       std::vector<double> &Ms) {
+  Driver Drv(Req);
+  auto Start = std::chrono::steady_clock::now();
+  DriverOutcome O = Drv.runSource(Source, "evict.c");
+  Ms.push_back(std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - Start)
+                   .count());
+  return O;
 }
 
 std::string witnessStr(const std::vector<uint8_t> &W) {
@@ -360,7 +382,53 @@ int main(int argc, char **argv) {
               "generation barriers on its\nslowest machine and the thread "
               "pool is spawned once, not per wave.\n");
 
+  // The eviction gate (see the file comment).
+  const unsigned EvictReps = 5;
+  const unsigned EvictOrders = 2782;
+  const double EvictWallBound = 2.0;
+  const std::string EvictSource = cundef_bench::deepTreeProgram(10, 512);
+  AnalysisRequest::Builder EvictB;
+  EvictB.searchRuns(5000).searchJobs(1).resultCache(false);
+  const AnalysisRequest EvictSteal = EvictB.buildOrDie();
+  const AnalysisRequest EvictWave = EvictB.sched(SchedKind::Wave).buildOrDie();
+  std::vector<double> EvictStealMs, EvictWaveMs;
+  unsigned EvictEvictions = 0, EvictCommitted = 0;
+  bool EvictAgree = true;
+  for (unsigned Rep = 0; Rep < EvictReps; ++Rep) {
+    DriverOutcome S = timedRun(EvictSteal, EvictSource, EvictStealMs);
+    DriverOutcome W = timedRun(EvictWave, EvictSource, EvictWaveMs);
+    EvictEvictions = std::max(EvictEvictions, S.SearchEvictions);
+    EvictCommitted = S.OrdersExplored;
+    EvictAgree = EvictAgree && S.OrdersExplored == EvictOrders &&
+                 W.OrdersExplored == EvictOrders && !S.anyUb() && !W.anyUb();
+  }
+  const double EvictStealMed = cundef_bench::median(EvictStealMs);
+  const double EvictWaveMed = cundef_bench::median(EvictWaveMs);
+  const bool EvictOk = EvictAgree && EvictEvictions == 0 &&
+                       EvictStealMed <= EvictWallBound * EvictWaveMed;
+  std::printf("\neviction gate: deep tree (10 pairs, 512 cells), "
+              "--search=5000, 1 worker, median of %u interleaved runs:\n"
+              "engine %.2f ms vs wave %.2f ms (bound %.1fx); "
+              "orders=%u (want %u) evictions=%u (want 0) -> %s\n",
+              EvictReps, EvictStealMed, EvictWaveMed, EvictWallBound,
+              EvictCommitted, EvictOrders, EvictEvictions,
+              EvictOk ? "ok" : "FAILED");
+  if (!EvictOk)
+    std::fprintf(stderr, "bench_search: eviction gate FAILED (agree=%d "
+                         "orders=%u evictions=%u engine=%.2f ms wave=%.2f "
+                         "ms)\n",
+                 EvictAgree ? 1 : 0, EvictCommitted, EvictEvictions,
+                 EvictStealMed, EvictWaveMed);
+
   Json += "  ],\n";
+  char EvictJson[320];
+  std::snprintf(EvictJson, sizeof(EvictJson),
+                "  \"eviction_gate\": {\"repetitions\": %u, "
+                "\"engine_ms_median\": %.3f, \"wave_ms_median\": %.3f, "
+                "\"orders\": %u, \"evictions\": %u, \"ok\": %s},\n",
+                EvictReps, EvictStealMed, EvictWaveMed, EvictCommitted,
+                EvictEvictions, EvictOk ? "true" : "false");
+  Json += EvictJson;
   char Summary[512];
   std::snprintf(Summary, sizeof(Summary),
                 "  \"summary\": {\"deep_wave4_ms\": %.3f, "
@@ -375,5 +443,5 @@ int main(int argc, char **argv) {
   Json += Summary;
   Json += "}\n";
   cundef_bench::writeJsonFile("bench_search", JsonPath, Json);
-  return WitnessesAgree && HitsOk && ScalingOk ? 0 : 1;
+  return WitnessesAgree && HitsOk && ScalingOk && EvictOk ? 0 : 1;
 }

@@ -60,8 +60,10 @@ if(NOT OUT MATCHES "\"result_cache_hit\":" OR NOT OUT MATCHES "\"result_cache\":
    OR NOT OUT MATCHES "\"abandoned\":")
   message(FATAL_ERROR "kcc --json: missing result_cache fields: ${OUT}")
 endif()
-if(NOT OUT MATCHES "\"snapshot_shared_hits\":")
-  message(FATAL_ERROR "kcc --json: missing snapshot_shared_hits pool counter: ${OUT}")
+# Cross-program snapshot sharing was removed; its pool counter went
+# with it and must not come back.
+if(OUT MATCHES "snapshot_shared_hits")
+  message(FATAL_ERROR "kcc --json: retired snapshot_shared_hits counter present: ${OUT}")
 endif()
 if(ERR MATCHES "ERROR! KCC")
   message(FATAL_ERROR "kcc --json: human report leaked to stderr: ${ERR}")
@@ -166,5 +168,40 @@ endif()
 if(NOT OUT MATCHES "^\\{" OR NOT OUT MATCHES "\\}\n$")
   message(FATAL_ERROR "kcc --json --catalog-coverage: stdout is not exactly one JSON document")
 endif()
+
+# Eviction gate on the counters: deepTreeProgram(10, 512) from
+# bench/BenchUtil.h at --search=5000 and one worker peaks at 810
+# pending snapshots, inside the 1024 budget, so the search must fork
+# every child and evict nothing (deterministic at one worker). A change
+# that demotes forks to prefix replay (~5x slower here) fails this
+# check.
+set(DEEP_C ${WORKDIR}/json_deep_tree.c)
+set(DEEP_SRC "int buf[512];\nstatic int g(int x) { buf[(x + 0) % 512] += x; return x + 1; }\nint main(void) {\n  int t = 0;\n")
+foreach(I RANGE 0 9)
+  math(EXPR A "2 * ${I}")
+  math(EXPR B "2 * ${I} + 1")
+  string(APPEND DEEP_SRC "  t += g(${A}) + g(${B});\n")
+endforeach()
+string(APPEND DEEP_SRC "  return t > 0 ? 0 : 1;\n}\n")
+file(WRITE ${DEEP_C} "${DEEP_SRC}")
+execute_process(
+  COMMAND ${KCC} --json --search=5000 --search-jobs=1 ${DEEP_C}
+  RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "kcc --json (deep tree): expected exit 0, got ${RC}: ${ERR}")
+endif()
+if(NOT OUT MATCHES "\"orders_explored\": 2782,")
+  message(FATAL_ERROR "kcc --json (deep tree): expected 2782 committed orders: ${OUT}")
+endif()
+string(REGEX MATCHALL "\"snapshot_evictions\": [0-9]+" EVICTIONS "${OUT}")
+list(LENGTH EVICTIONS N_EVICTIONS)
+if(N_EVICTIONS LESS 2)
+  message(FATAL_ERROR "kcc --json (deep tree): missing snapshot_evictions counters: ${OUT}")
+endif()
+foreach(E ${EVICTIONS})
+  if(NOT E MATCHES ": 0$")
+    message(FATAL_ERROR "kcc --json (deep tree): the search evicted snapshots (${E}): ${OUT}")
+  endif()
+endforeach()
 
 message(STATUS "kcc --json behaves as documented")

@@ -162,8 +162,8 @@ uint32_t Machine::literalObject(const StringLitExpr *S) {
   uint32_t Id = Conf.Mem.create(StorageKind::Literal, Size, S->Ty, NoSymbol);
   MemObject *Obj = Conf.Mem.mutate(Id);
   for (size_t I = 0; I < S->Bytes.size(); ++I)
-    Obj->Bytes[I] = Byte::concrete(static_cast<uint8_t>(S->Bytes[I]));
-  Obj->Bytes[S->Bytes.size()] = Byte::concrete(0);
+    Obj->Bytes.mut(I) = Byte::concrete(static_cast<uint8_t>(S->Bytes[I]));
+  Obj->Bytes.mut(S->Bytes.size()) = Byte::concrete(0);
   // String literals are not writable (modifying one is UB 18).
   for (uint64_t I = 0; I < Size; ++I)
     Conf.NotWritable.insert({Id, static_cast<int64_t>(I)});
@@ -194,8 +194,7 @@ uint32_t Machine::createObjectForDecl(const VarDecl *D,
 void Machine::zeroFill(uint32_t ObjId, uint64_t Offset, uint64_t Len) {
   MemObject *Obj = Conf.Mem.mutate(ObjId);
   assert(Obj && "zeroFill of unknown object");
-  for (uint64_t I = 0; I < Len && Offset + I < Obj->Size; ++I)
-    Obj->Bytes[Offset + I] = Byte::concrete(0);
+  Obj->Bytes.fill(Offset, Len, Byte::concrete(0));
 }
 
 /// Whether any part of \p Ty is const-qualified.

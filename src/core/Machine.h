@@ -72,8 +72,8 @@ struct MachineOptions {
 /// Stable FNV-1a digest over every field of \p M. Two MachineOptions
 /// with equal fingerprints drive byte-identical machines over the same
 /// AST, so the digest is a content address for the semantics half of a
-/// search configuration (the result cache in driver/ResultCache.h and
-/// the cross-program snapshot-sharing key both build on it). Every
+/// search configuration (the result cache in driver/ResultCache.h
+/// builds on it). Every
 /// field participates — adding a MachineOptions member without hashing
 /// it here would silently alias distinct configurations.
 inline uint64_t machineOptionsFingerprint(const MachineOptions &M) {

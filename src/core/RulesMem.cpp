@@ -916,9 +916,7 @@ bool Machine::setBytes(SymPointer Dst, uint8_t Value, uint64_t Len,
     return false;
   if (!sequencingWriteCheck(R.Obj, R.Offset, Len, Loc))
     return false;
-  for (uint64_t I = 0; I < Len; ++I)
-    Conf.Mem.writeByte(R.Obj, R.Offset + static_cast<int64_t>(I),
-                       Byte::concrete(Value));
+  Conf.Mem.fill(R.Obj, R.Offset, Len, Byte::concrete(Value));
   return true;
 }
 

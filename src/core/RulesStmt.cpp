@@ -194,7 +194,7 @@ void Machine::pushInitStores(uint32_t ObjId, const VarDecl *D, QualType Ty,
     uint64_t Limit = std::min<uint64_t>(Str->Bytes.size(),
                                         Ctx.Types.sizeOf(Ty));
     for (uint64_t I = 0; I < Limit; ++I)
-      Obj->Bytes[Offset + I] =
+      Obj->Bytes.mut(Offset + I) =
           Byte::concrete(static_cast<uint8_t>(Str->Bytes[I]));
     return;
   }

@@ -189,7 +189,10 @@ ArithOutcome cundef::evalIntBinary(BinaryOp Op, const Value &L,
     if (Op == BinaryOp::Shl) {
       if (A < 0)
         Out.ShiftOfNeg = true;
-      __int128 Wide = (__int128)A << Count;
+      // Shift the two's-complement bits unsigned: left-shifting a
+      // negative signed value is itself undefined.
+      __int128 Wide = static_cast<__int128>(
+          static_cast<unsigned __int128>(static_cast<__int128>(A)) << Count);
       if (Wide > (__int128)Types.maxValueOf(ResultTy))
         Out.ShiftOfNeg = true; // value not representable (C11 6.5.7p4)
       Out.V = Value::makeInt(

@@ -46,6 +46,10 @@
 #include <thread>
 #include <unordered_map>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 using namespace cundef;
 
 EngineConfig cundef::engineConfigFor(const AnalysisRequest &Req) {
@@ -177,7 +181,6 @@ struct AnalysisEngine::Impl {
     SC.Jobs = Cfg.Workers;
     SC.ClampJobsToHardware = Cfg.ClampWorkersToHardware;
     SC.SnapshotBudget = Cfg.SnapshotBudget;
-    SC.SnapshotSharing = true;
     return SC;
   }
 
@@ -619,7 +622,17 @@ struct AnalysisEngine::Impl {
 AnalysisEngine::AnalysisEngine(EngineConfig Cfg)
     : I(std::make_unique<Impl>(Cfg)) {}
 
-AnalysisEngine::~AnalysisEngine() { shutdown(); }
+AnalysisEngine::~AnalysisEngine() {
+  shutdown();
+  I.reset();
+#ifdef __GLIBC__
+  // The joined workers' arenas still hold the pages the scheduler,
+  // snapshots and caches just freed; glibc keeps them mapped until the
+  // process exits. Hand them back so processes that build engine after
+  // engine (tests, benchmarks, embedders) do not grow with each one.
+  malloc_trim(0);
+#endif
+}
 
 HeaderRegistry &AnalysisEngine::headers() { return I->Headers; }
 

@@ -220,8 +220,6 @@ cundef::renderJsonDocument(const std::vector<JsonProgram> &Programs,
                    static_cast<unsigned long long>(Pool.SnapshotSlotSteals));
   Out += strFormat("    \"snapshot_evictions\": %llu,\n",
                    static_cast<unsigned long long>(Pool.SnapshotEvictions));
-  Out += strFormat("    \"snapshot_shared_hits\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.SnapshotSharedHits));
   Out += strFormat("    \"peak_frontier\": %llu,\n",
                    static_cast<unsigned long long>(Pool.PeakFrontier));
   Out += strFormat("    \"wall_ms\": %.3f\n", WallMs);

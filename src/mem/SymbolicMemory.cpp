@@ -103,7 +103,7 @@ uint32_t SymbolicMemory::create(StorageKind Storage, uint64_t Size,
   Obj->DeclTy = DeclTy;
   Obj->Name = Name;
   Obj->ConcreteAddr = assignAddress(Storage, Size);
-  Obj->Bytes.assign(Size, Byte::unknown());
+  Obj->Bytes = ByteStore(Size, Byte::unknown());
   Objects.emplace(Id, std::move(Obj));
   return Id;
 }
@@ -175,7 +175,7 @@ MemStatus SymbolicMemory::writeByte(uint32_t Id, int64_t Offset,
   if (Status != MemStatus::Ok)
     return Status;
   MemObject *Obj = owned(Objects.find(Id)->second);
-  Byte &Slot = Obj->Bytes[static_cast<size_t>(Offset)];
+  Byte &Slot = Obj->Bytes.mut(static_cast<size_t>(Offset));
   // Keep the cached digest current by delta instead of invalidating:
   // the digest is a plain sum over per-byte item hashes, so one write
   // is one subtraction and one addition.
@@ -183,6 +183,21 @@ MemStatus SymbolicMemory::writeByte(uint32_t Id, int64_t Offset,
     Obj->Digest += byteItemHash(Id, static_cast<uint64_t>(Offset), In) -
                    byteItemHash(Id, static_cast<uint64_t>(Offset), Slot);
   Slot = In;
+  return MemStatus::Ok;
+}
+
+MemStatus SymbolicMemory::fill(uint32_t Id, int64_t Offset, uint64_t Len,
+                               const Byte &In) {
+  MemStatus Status = probe(Id, Offset, Len);
+  if (Status != MemStatus::Ok)
+    return Status;
+  MemObject *Obj = owned(Objects.find(Id)->second);
+  const uint64_t Begin = static_cast<uint64_t>(Offset);
+  if (Obj->DigestValid)
+    for (uint64_t I = Begin; I < Begin + Len; ++I)
+      Obj->Digest +=
+          byteItemHash(Id, I, In) - byteItemHash(Id, I, Obj->Bytes[I]);
+  Obj->Bytes.fill(Begin, Len, In);
   return MemStatus::Ok;
 }
 

@@ -21,7 +21,8 @@
 /// semantics: copying a SymbolicMemory (the evaluation-order search
 /// forks configurations at choice points, paper section 2.5.2) shares
 /// every object, and the first mutation through mutate()/writeByte()
-/// after a copy clones just the touched object. Each object also caches
+/// after a copy clones just the touched object -- and of a multi-page
+/// object, only the touched page of its ByteStore. Each object also caches
 /// its content digest, so configuration fingerprints cost O(objects
 /// touched since the last fingerprint) instead of O(total bytes).
 ///
@@ -30,7 +31,7 @@
 #ifndef CUNDEF_MEM_SYMBOLICMEMORY_H
 #define CUNDEF_MEM_SYMBOLICMEMORY_H
 
-#include "mem/Byte.h"
+#include "mem/ByteStore.h"
 #include "support/Hash.h"
 #include "support/StringInterner.h"
 #include "types/Type.h"
@@ -65,7 +66,7 @@ struct MemObject {
   Symbol Name = NoSymbol;  ///< for diagnostics
   uint64_t ConcreteAddr = 0;
   const FunctionDecl *Fn = nullptr; ///< for Function pseudo-objects
-  std::vector<Byte> Bytes;
+  ByteStore Bytes;
 
   bool isAlive() const { return State == ObjectState::Alive; }
 
@@ -114,6 +115,10 @@ public:
   /// Checked byte access. Out parameters untouched on failure.
   MemStatus readByte(uint32_t Id, int64_t Offset, Byte &Out) const;
   MemStatus writeByte(uint32_t Id, int64_t Offset, const Byte &In);
+  /// Writes \p In to the \p Len bytes at \p Offset, all or nothing: the
+  /// same final state and digest as \p Len writeByte calls, but whole
+  /// pages share one uniform page (a 1 MB memset costs one page).
+  MemStatus fill(uint32_t Id, int64_t Offset, uint64_t Len, const Byte &In);
   /// Status an access *would* have, without performing it.
   MemStatus probe(uint32_t Id, int64_t Offset, uint64_t Len) const;
 

@@ -264,13 +264,24 @@ private:
 
   bool parseNumber(JsonValue &Out) {
     size_t Start = Pos;
-    if (Pos < Text.size() && Text[Pos] == '-')
+    bool Negative = false;
+    if (Pos < Text.size() && Text[Pos] == '-') {
       ++Pos;
+      Negative = true;
+    }
     bool AnyDigit = false;
+    bool Fits = true;
+    uint64_t Magnitude = 0;
     while (Pos < Text.size() && std::isdigit(static_cast<unsigned char>(Text[Pos]))) {
+      const uint64_t Digit = static_cast<uint64_t>(Text[Pos] - '0');
+      if (Magnitude > (UINT64_MAX - Digit) / 10)
+        Fits = false;
+      else
+        Magnitude = Magnitude * 10 + Digit;
       ++Pos;
       AnyDigit = true;
     }
+    const size_t IntEnd = Pos;
     if (Pos < Text.size() && Text[Pos] == '.') {
       ++Pos;
       while (Pos < Text.size() &&
@@ -289,6 +300,9 @@ private:
       return fail("invalid number");
     Out.K = JsonValue::Kind::Number;
     Out.NumberV = std::strtod(Text.substr(Start, Pos - Start).c_str(), nullptr);
+    Out.IsInteger = Fits && Pos == IntEnd;
+    Out.IntNegative = Negative;
+    Out.IntMagnitude = Out.IsInteger ? Magnitude : 0;
     return true;
   }
 };

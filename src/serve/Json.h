@@ -53,12 +53,31 @@ public:
   double asDouble(double Fallback = 0.0) const {
     return isNumber() ? NumberV : Fallback;
   }
+  /// Integer accessors read the literal's digits, never the double: a
+  /// number written with a fraction or an exponent, or one out of the
+  /// target type's range, is not an integer and yields the fallback.
   uint64_t asU64(uint64_t Fallback = 0) const {
-    return isNumber() && NumberV >= 0 ? static_cast<uint64_t>(NumberV)
-                                      : Fallback;
+    uint64_t V = 0;
+    return toU64(V) ? V : Fallback;
   }
   int64_t asI64(int64_t Fallback = 0) const {
-    return isNumber() ? static_cast<int64_t>(NumberV) : Fallback;
+    if (!IsInteger)
+      return Fallback;
+    if (!IntNegative)
+      return IntMagnitude <= uint64_t(INT64_MAX)
+                 ? static_cast<int64_t>(IntMagnitude)
+                 : Fallback;
+    return IntMagnitude <= uint64_t(INT64_MAX) + 1
+               ? static_cast<int64_t>(0 - IntMagnitude)
+               : Fallback;
+  }
+  /// True, with the value in \p Out, when this is a non-negative
+  /// integer literal that fits in 64 bits.
+  bool toU64(uint64_t &Out) const {
+    if (!IsInteger || (IntNegative && IntMagnitude != 0))
+      return false;
+    Out = IntMagnitude;
+    return true;
   }
   const std::string &asString() const {
     static const std::string Empty;
@@ -91,6 +110,11 @@ private:
   Kind K = Kind::Null;
   bool BoolV = false;
   double NumberV = 0.0;
+  /// Number literals without fraction or exponent whose magnitude fits
+  /// in 64 bits also keep their exact integer value.
+  bool IsInteger = false;
+  bool IntNegative = false;
+  uint64_t IntMagnitude = 0;
   std::string StringV;
   std::vector<JsonValue> ArrayV;
   std::vector<std::pair<std::string, JsonValue>> ObjectV;

@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -256,6 +257,27 @@ const char *internDomain(const std::string &Name) {
   return "";
 }
 
+/// Reads the whole-number field \p Key of \p Obj into \p Out. An absent
+/// field keeps \p Out's default; anything other than an integer literal
+/// in [0, max of T] — a fraction, an exponent, a negative or too-large
+/// value, a string — is an error naming \p Where.Key, never a clamp.
+template <typename T>
+bool readCount(const JsonValue &Obj, const char *Where, const char *Key,
+               T &Out, std::string &Err) {
+  const JsonValue *V = Obj.get(Key);
+  if (!V)
+    return true;
+  uint64_t N = 0;
+  if (!V->toU64(N) || N > std::numeric_limits<T>::max()) {
+    Err = strFormat("%s%s must be an integer in [0, %llu]", Where, Key,
+                    static_cast<unsigned long long>(
+                        std::numeric_limits<T>::max()));
+    return false;
+  }
+  Out = static_cast<T>(N);
+  return true;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -313,18 +335,17 @@ bool cundef::parseRequest(const JsonValue &V, AnalysisRequest &Out,
       Err = "request.target must be an object";
       return false;
     }
-    T.ShortSize = static_cast<unsigned>(TV->getU64("short_size", T.ShortSize));
-    T.IntSize = static_cast<unsigned>(TV->getU64("int_size", T.IntSize));
-    T.LongSize = static_cast<unsigned>(TV->getU64("long_size", T.LongSize));
-    T.LongLongSize =
-        static_cast<unsigned>(TV->getU64("long_long_size", T.LongLongSize));
-    T.PointerSize =
-        static_cast<unsigned>(TV->getU64("pointer_size", T.PointerSize));
-    T.FloatSize = static_cast<unsigned>(TV->getU64("float_size", T.FloatSize));
-    T.DoubleSize =
-        static_cast<unsigned>(TV->getU64("double_size", T.DoubleSize));
-    T.BoolSize = static_cast<unsigned>(TV->getU64("bool_size", T.BoolSize));
-    T.MaxAlign = static_cast<unsigned>(TV->getU64("max_align", T.MaxAlign));
+    const char *W = "request.target.";
+    if (!readCount(*TV, W, "short_size", T.ShortSize, Err) ||
+        !readCount(*TV, W, "int_size", T.IntSize, Err) ||
+        !readCount(*TV, W, "long_size", T.LongSize, Err) ||
+        !readCount(*TV, W, "long_long_size", T.LongLongSize, Err) ||
+        !readCount(*TV, W, "pointer_size", T.PointerSize, Err) ||
+        !readCount(*TV, W, "float_size", T.FloatSize, Err) ||
+        !readCount(*TV, W, "double_size", T.DoubleSize, Err) ||
+        !readCount(*TV, W, "bool_size", T.BoolSize, Err) ||
+        !readCount(*TV, W, "max_align", T.MaxAlign, Err))
+      return false;
     T.CharIsSigned = TV->getBool("char_is_signed", T.CharIsSigned);
     T.ArithmeticRightShift =
         TV->getBool("arithmetic_right_shift", T.ArithmeticRightShift);
@@ -344,10 +365,11 @@ bool cundef::parseRequest(const JsonValue &V, AnalysisRequest &Out,
     M.CheckEffectiveTypes =
         MV->getBool("check_effective_types", M.CheckEffectiveTypes);
     M.StopAtFirstUb = MV->getBool("stop_at_first_ub", M.StopAtFirstUb);
-    M.StepLimit = MV->getU64("step_limit", M.StepLimit);
-    M.Seed = static_cast<uint32_t>(MV->getU64("seed", M.Seed));
-    M.MaxCallDepth =
-        static_cast<unsigned>(MV->getU64("max_call_depth", M.MaxCallDepth));
+    const char *W = "request.machine.";
+    if (!readCount(*MV, W, "step_limit", M.StepLimit, Err) ||
+        !readCount(*MV, W, "seed", M.Seed, Err) ||
+        !readCount(*MV, W, "max_call_depth", M.MaxCallDepth, Err))
+      return false;
     if (const JsonValue *OV = MV->get("order"))
       if (!parseOrderName(OV->asString(), M.Order)) {
         Err = "unknown machine.order '" + OV->asString() + "'";
@@ -370,10 +392,13 @@ bool cundef::parseRequest(const JsonValue &V, AnalysisRequest &Out,
       return false;
     }
   B.staticAnalyze(Mode);
-  B.searchRuns(
-      static_cast<unsigned>(V.getU64("search_runs", Defaults.searchRuns())));
-  B.searchJobs(
-      static_cast<unsigned>(V.getU64("search_jobs", Defaults.searchJobs())));
+  unsigned Runs = Defaults.searchRuns();
+  unsigned Jobs = Defaults.searchJobs();
+  if (!readCount(V, "request.", "search_runs", Runs, Err) ||
+      !readCount(V, "request.", "search_jobs", Jobs, Err))
+    return false;
+  B.searchRuns(Runs);
+  B.searchJobs(Jobs);
   B.dedup(V.getBool("dedup", Defaults.searchDedup()));
   B.snapshots(V.getBool("snapshots", Defaults.searchSnapshots()));
   B.resultCache(V.getBool("result_cache", Defaults.useResultCache()));
@@ -551,7 +576,7 @@ std::string cundef::serializeStats(const SchedulerStats &Pool,
       "\"provisional_hits\":%llu,\"provisional_requeues\":%llu,"
       "\"commit_lag_peak\":%llu,\"snapshot_shards\":%u,"
       "\"snapshot_takes\":%llu,\"snapshot_hits\":%llu,"
-      "\"snapshot_slot_steals\":%llu,\"snapshot_shared_hits\":%llu},",
+      "\"snapshot_slot_steals\":%llu},",
       Pool.Programs, Pool.Jobs,
       static_cast<unsigned long long>(Pool.Steals),
       static_cast<unsigned long long>(Pool.SnapshotEvictions),
@@ -565,8 +590,7 @@ std::string cundef::serializeStats(const SchedulerStats &Pool,
       Pool.SnapshotShards,
       static_cast<unsigned long long>(Pool.SnapshotTakes),
       static_cast<unsigned long long>(Pool.SnapshotHits),
-      static_cast<unsigned long long>(Pool.SnapshotSlotSteals),
-      static_cast<unsigned long long>(Pool.SnapshotSharedHits));
+      static_cast<unsigned long long>(Pool.SnapshotSlotSteals));
   Out += strFormat(
       "\"memory\":{\"pending_jobs\":%llu,\"graveyard_artifacts\":%llu,"
       "\"program_slots\":%llu,\"retained_programs\":%llu,"
@@ -626,7 +650,6 @@ bool cundef::parseStats(const JsonValue &V, SchedulerStats &Pool,
   Pool.SnapshotTakes = P->getU64("snapshot_takes", 0);
   Pool.SnapshotHits = P->getU64("snapshot_hits", 0);
   Pool.SnapshotSlotSteals = P->getU64("snapshot_slot_steals", 0);
-  Pool.SnapshotSharedHits = P->getU64("snapshot_shared_hits", 0);
   Memory = EngineMemoryStats();
   Memory.PendingJobs = M->getU64("pending_jobs", 0);
   Memory.GraveyardArtifacts = M->getU64("graveyard_artifacts", 0);

@@ -226,7 +226,8 @@ int64_t TypeContext::minValueOf(const Type *Ty) const {
   if (Ty->isUnsignedInteger(Config))
     return 0;
   unsigned Bits = bitWidthOf(Ty);
-  return -static_cast<int64_t>(1ull << (Bits - 1));
+  // -(2^(Bits-1) - 1) - 1: negating 2^63 itself would overflow int64_t.
+  return -static_cast<int64_t>((1ull << (Bits - 1)) - 1) - 1;
 }
 
 QualType TypeContext::promote(QualType Ty) const {

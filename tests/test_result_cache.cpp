@@ -2,7 +2,7 @@
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
-// The result-cache contract, pinned from four sides (mirroring
+// The result-cache contract, pinned from three sides (mirroring
 // tests/test_translation_cache.cpp one rung up the pipeline):
 //
 //  * **Content addressing is total.** Everything a search's observable
@@ -18,11 +18,6 @@
 //    with the cache on, off, hot, or cold — the honest counters
 //    (BatchStats::ResultCacheHits/Misses) are the only observable
 //    difference.
-//  * **Cross-program snapshot sharing is sound and silent.** With the
-//    result cache off, duplicate programs that search concurrently
-//    share choice-point snapshots through the scheduler's share index
-//    (SchedulerStats::SnapshotSharedHits) without changing any
-//    committed outcome.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +39,7 @@ const char *PaperSource = "int d = 5;\n"
                           "int main(void) { return (10 / d) + setDenom(0); }\n";
 
 /// UB-free with several flippable choice points, so searches fan out
-/// and capture snapshots (the cross-program sharing tests need real
-/// donors, not a first-run UB stop).
+/// and capture snapshots (not a first-run UB stop).
 const char *CleanFanout = "int f(int a, int b) { return a * 2 + b; }\n"
                           "int main(void) {\n"
                           "  int r = f(1, 2) + f(3, 4);\n"
@@ -443,68 +437,4 @@ TEST(ResultCacheEngine, OptOutRequestsBypassTheCache) {
   DriverOutcome C = Eng.submit(On, PaperSource, "p.c").take();
   EXPECT_FALSE(C.ResultCacheHit);
   expectIdentical(A, C, "first opted-in submission");
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-program snapshot sharing.
-//===----------------------------------------------------------------------===//
-
-TEST(SnapshotSharing, DuplicateProgramsShareDonorsWithoutChangingResults) {
-  // With the result cache off (the A/B mode), duplicate programs all
-  // search — and fingerprint-equal machine configurations over the
-  // same shared artifact share choice-point snapshots engine-wide:
-  // later programs fork from the first program's donors instead of
-  // capturing their own. Observable only in SnapshotSharedHits and
-  // wall clock; every committed outcome stays byte-identical to a
-  // solo run's.
-  AnalysisRequest Req = AnalysisRequest::Builder()
-                            .searchRuns(32)
-                            .searchJobs(2)
-                            .resultCache(false)
-                            .buildOrDie();
-
-  EngineConfig Solo;
-  Solo.ResultCacheEntries = 0;
-  AnalysisEngine Reference(Solo);
-  DriverOutcome Ref = Reference.submit(Req, CleanFanout, "share.c").take();
-  ASSERT_TRUE(Ref.CompileOk) << Ref.CompileErrors;
-  EXPECT_FALSE(Ref.anyUb());
-
-  AnalysisEngine Eng;
-  std::vector<BatchInput> Inputs;
-  for (int I = 0; I < 6; ++I)
-    Inputs.push_back({CleanFanout, "share.c"});
-  std::vector<JobHandle> Handles = Eng.submitBatch(Req, Inputs);
-  for (size_t I = 0; I < Handles.size(); ++I) {
-    DriverOutcome O = Handles[I].take();
-    EXPECT_FALSE(O.ResultCacheHit) << "the A/B mode really searched";
-    expectIdentical(Ref, O, "duplicate #" + std::to_string(I));
-  }
-  EXPECT_GT(Eng.poolStats().SnapshotSharedHits, 0u)
-      << "duplicate programs forked from shared donors";
-}
-
-TEST(SnapshotSharing, SharedHitsStayZeroAcrossDistinctPrograms) {
-  // The soundness gate in the other direction: programs that are not
-  // fingerprint-and-artifact equal must never share (the share key is
-  // the artifact pointer + machine fingerprint + decision-trace
-  // digest + configuration digest).
-  AnalysisRequest Req = AnalysisRequest::Builder()
-                            .searchRuns(32)
-                            .searchJobs(2)
-                            .resultCache(false)
-                            .buildOrDie();
-  AnalysisEngine Eng;
-  std::vector<BatchInput> Inputs = {
-      {CleanFanout, "a.c"},
-      {"int g(int x) { return x + 1; }\n"
-       "int main(void) { return g(1) + g(2) + g(3); }\n",
-       "b.c"},
-      {PaperSource, "c.c"},
-  };
-  std::vector<JobHandle> Handles = Eng.submitBatch(Req, Inputs);
-  for (JobHandle &H : Handles)
-    H.take();
-  EXPECT_EQ(Eng.poolStats().SnapshotSharedHits, 0u)
-      << "distinct programs must not alias donors";
 }

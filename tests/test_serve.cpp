@@ -345,6 +345,68 @@ TEST(ServeProtocol, RequestRoundtripsAndRevalidates) {
   EXPECT_FALSE(Err.empty());
 }
 
+TEST(ServeProtocol, RejectsNonIntegerCounts) {
+  // Whole-number request fields are read from the literal's digits:
+  // a value the field cannot hold exactly is a bad_request, never a
+  // clamp, a wrap, or a truncation.
+  const char *Hostile[] = {
+      "{\"search_runs\":1e30}",       // beyond every integer type
+      "{\"search_runs\":4294967297}", // 2^32 + 1 would wrap to 1
+      "{\"search_runs\":2.5}",        // would truncate to 2
+      "{\"search_runs\":-3}",
+      "{\"search_jobs\":\"4\"}",
+      "{\"machine\":{\"seed\":4294967296}}",
+      "{\"machine\":{\"step_limit\":18446744073709551616}}",
+      "{\"target\":{\"int_size\":4.0}}",
+  };
+  for (const char *Text : Hostile) {
+    JsonValue V;
+    std::string Err;
+    ASSERT_TRUE(JsonValue::parse(Text, V, Err)) << Text << ": " << Err;
+    AnalysisRequest Out;
+    EXPECT_FALSE(parseRequest(V, Out, Err)) << Text;
+    EXPECT_NE(Err.find("must be an integer"), std::string::npos)
+        << Text << ": " << Err;
+  }
+
+  // The largest values the fields hold still decode exactly.
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse("{\"search_runs\":4294967295,"
+                               "\"machine\":{\"step_limit\":"
+                               "18446744073709551615,\"seed\":4294967295}}",
+                               V, Err))
+      << Err;
+  AnalysisRequest Out;
+  ASSERT_TRUE(parseRequest(V, Out, Err)) << Err;
+  EXPECT_EQ(Out.searchRuns(), 4294967295u);
+  EXPECT_EQ(Out.machine().StepLimit, 18446744073709551615ull);
+  EXPECT_EQ(Out.machine().Seed, 4294967295u);
+}
+
+TEST(ServeJson, IntegerAccessorsNeverCastADouble) {
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse(
+      "[1e30, 2.5, -1, 18446744073709551615, 18446744073709551616, "
+      "-9223372036854775808, 7]",
+      V, Err))
+      << Err;
+  const std::vector<JsonValue> &N = V.items();
+  ASSERT_EQ(N.size(), 7u);
+  EXPECT_EQ(N[0].asU64(42), 42u);
+  EXPECT_EQ(N[0].asI64(42), 42);
+  EXPECT_DOUBLE_EQ(N[0].asDouble(), 1e30);
+  EXPECT_EQ(N[1].asU64(42), 42u);
+  EXPECT_EQ(N[2].asU64(42), 42u);
+  EXPECT_EQ(N[2].asI64(42), -1);
+  EXPECT_EQ(N[3].asU64(42), 18446744073709551615ull);
+  EXPECT_EQ(N[3].asI64(42), 42);
+  EXPECT_EQ(N[4].asU64(42), 42u);
+  EXPECT_EQ(N[5].asI64(42), INT64_MIN);
+  EXPECT_EQ(N[6].asU64(42), 7u);
+}
+
 TEST(ServeProtocol, StatsRoundtrip) {
   SchedulerStats P;
   P.Programs = 3;
@@ -366,7 +428,6 @@ TEST(ServeProtocol, StatsRoundtrip) {
   R.Hits = 4;
   R.Misses = 8;
   R.InflightJoins = 3;
-  P.SnapshotSharedHits = 13;
 
   std::string Json = serializeStats(P, M, T, R);
   JsonValue V;
@@ -393,7 +454,36 @@ TEST(ServeProtocol, StatsRoundtrip) {
   EXPECT_EQ(R2.Hits, 4u);
   EXPECT_EQ(R2.Misses, 8u);
   EXPECT_EQ(R2.InflightJoins, 3u);
-  EXPECT_EQ(P2.SnapshotSharedHits, 13u);
+}
+
+TEST(ServeProtocol, StatsDecoderIgnoresRetiredSharedHitsField) {
+  // Peers built before cross-program snapshot sharing was removed still
+  // send pool.snapshot_shared_hits; the decoder accepts the body and
+  // drops the field, and the counters around it decode as usual.
+  const std::string OldPeer =
+      "{\"pool\":{\"programs\":2,\"workers\":4,\"steals\":5,"
+      "\"snapshot_evictions\":0,\"snapshot_slot_steals\":1,"
+      "\"snapshot_shared_hits\":13},"
+      "\"memory\":{\"pending_jobs\":0},"
+      "\"translation\":{\"lookups\":3},"
+      "\"result_cache\":{\"lookups\":6,\"hits\":2}}";
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse(OldPeer, V, Err)) << Err;
+  SchedulerStats P;
+  EngineMemoryStats M;
+  TranslationCacheStats T;
+  ResultCacheStats R;
+  ASSERT_TRUE(parseStats(V, P, M, T, R, Err)) << Err;
+  EXPECT_EQ(P.Programs, 2u);
+  EXPECT_EQ(P.Jobs, 4u);
+  EXPECT_EQ(P.Steals, 5u);
+  EXPECT_EQ(P.SnapshotSlotSteals, 1u);
+  EXPECT_EQ(T.Lookups, 3u);
+  EXPECT_EQ(R.Hits, 2u);
+  // Re-encoding never emits the retired key.
+  EXPECT_EQ(serializeStats(P, M, T, R).find("snapshot_shared_hits"),
+            std::string::npos);
 }
 
 TEST(ServeProtocol, FramingSplitsAndCoalesces) {

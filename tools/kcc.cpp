@@ -220,13 +220,12 @@ static void printPoolStats(const cundef::SchedulerStats &Pool) {
                static_cast<unsigned long long>(Pool.CommitLagPeak));
   std::fprintf(stderr,
                "Snapshot cache: shards=%u takes=%llu hits=%llu "
-               "slot-steals=%llu evictions=%llu shared-hits=%llu\n",
+               "slot-steals=%llu evictions=%llu\n",
                Pool.SnapshotShards,
                static_cast<unsigned long long>(Pool.SnapshotTakes),
                static_cast<unsigned long long>(Pool.SnapshotHits),
                static_cast<unsigned long long>(Pool.SnapshotSlotSteals),
-               static_cast<unsigned long long>(Pool.SnapshotEvictions),
-               static_cast<unsigned long long>(Pool.SnapshotSharedHits));
+               static_cast<unsigned long long>(Pool.SnapshotEvictions));
 }
 
 int main(int argc, char **argv) {

@@ -5,21 +5,24 @@
 // "Any tool seeking to identify all undefined behaviors must search all
 // possible evaluation strategies" (paper section 2.5.2). This bench
 // measures the cost and the payoff of that search across the engine's
-// generations:
+// generations. The first three rows run the reference wave engine
+// (tests/reference/WaveSearch.h), which keeps the earlier cost models:
 //
 //   seq        exhaustive prefix enumeration, 1 thread, no dedup,
 //              full-state rehash (what the pre-parallel searcher did),
 //   replay     + fingerprint visited-set; children replay their pinned
-//              prefix from main() and rehash the whole configuration at
-//              every choice point (the PR 1 engine),
+//              prefix from main() (SnapshotBudget 0) and rehash the
+//              whole configuration at every choice point (the first
+//              parallel engine),
 //   fork       + children fork mid-run from snapshots captured at their
 //              choice points, and fingerprints are incremental — still
-//              wave-synchronous (the PR 2 engine),
-//   steal      the work-stealing scheduler (core/Scheduler.h): same
-//              fork engine, but speculative execution with a canonical
-//              commit wavefront instead of per-wave barriers,
+//              wave-synchronous (the second engine),
+//   steal      the work-stealing scheduler (core/Scheduler.h), the one
+//              production engine: same fork engine, but speculative
+//              execution with a canonical commit wavefront instead of
+//              per-wave barriers,
 //   wave x4 / steal x4
-//              both schedulers at 4 worker threads; the wave engine
+//              both engines at 4 worker threads; the wave engine
 //              barriers every generation (and re-spawns its thread team
 //              per wave), the stealing scheduler keeps one pool busy.
 //
@@ -37,7 +40,7 @@
 // fits the 1024-snapshot budget, so the committed search must evict
 // nothing and commit exactly 2782 orders — both deterministic. Its
 // wall clock, the median of interleaved repetitions, must also stay
-// within EvictWallBound of the wave reference engine on the same tree,
+// within EvictWallBound of the reference wave engine on the same tree,
 // so a change that silently demotes forks to prefix replay (~5x slower
 // on this tree) fails here.
 //
@@ -52,6 +55,7 @@
 #include "core/Scheduler.h"
 #include "core/Search.h"
 #include "driver/Driver.h"
+#include "reference/WaveSearch.h"
 
 #include <chrono>
 #include <cstdio>
@@ -115,6 +119,7 @@ struct Measured {
   double Millis = 0.0;
 };
 
+/// The production search (OrderSearch, i.e. the stealing scheduler).
 Measured measure(const AstContext &Ast, const SearchOptions &SO,
                  const char *Engine) {
   MachineOptions MOpts;
@@ -124,6 +129,19 @@ Measured measure(const AstContext &Ast, const SearchOptions &SO,
   M.Engine = Engine;
   M.Jobs = SO.Jobs;
   M.R = Search.run();
+  auto End = std::chrono::steady_clock::now();
+  M.Millis = std::chrono::duration<double, std::milli>(End - Start).count();
+  return M;
+}
+
+/// The reference wave engine, optionally fingerprinting by full rehash.
+Measured measureWave(const AstContext &Ast, const SearchOptions &SO,
+                     const char *Engine, bool FullRehash = false) {
+  auto Start = std::chrono::steady_clock::now();
+  Measured M;
+  M.Engine = Engine;
+  M.Jobs = SO.Jobs;
+  M.R = reference::waveSearch(Ast, MachineOptions(), SO, FullRehash);
   auto End = std::chrono::steady_clock::now();
   M.Millis = std::chrono::duration<double, std::milli>(End - Start).count();
   return M;
@@ -154,12 +172,16 @@ Measured measureForced(const AstContext &Ast, const SearchOptions &SO,
   return M;
 }
 
-/// One engine-path analysis (what kcc runs), timed around runSource.
+/// One engine-path analysis (what kcc runs), timed around runSource;
+/// with \p Wave, the same compile followed by the reference wave
+/// engine's outcome instead of the engine's search.
 DriverOutcome timedRun(const AnalysisRequest &Req, const std::string &Source,
-                       std::vector<double> &Ms) {
+                       std::vector<double> &Ms, bool Wave = false) {
   Driver Drv(Req);
   auto Start = std::chrono::steady_clock::now();
-  DriverOutcome O = Drv.runSource(Source, "evict.c");
+  DriverOutcome O =
+      Wave ? reference::waveOutcome(*Drv.compile(Source, "evict.c"), Req)
+           : Drv.runSource(Source, "evict.c");
   Ms.push_back(std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - Start)
                    .count());
@@ -256,31 +278,25 @@ int main(int argc, char **argv) {
       continue;
     }
 
-    SearchOptions Seq; // the pre-parallel engine
-    Seq.MaxRuns = Budget;
-    Seq.Jobs = 1;
+    SearchOptions Fork; // visited-set + snapshots
+    Fork.MaxRuns = Budget;
+    Fork.Jobs = 1;
+    SearchOptions Replay = Fork; // children replay their prefix
+    Replay.SnapshotBudget = 0;
+    SearchOptions Seq = Replay; // no visited-set: the pre-parallel engine
     Seq.Dedup = false;
-    Seq.UseSnapshots = false;
-    Seq.FullRehash = true;
-    Seq.Sched = SchedKind::Wave;
-    SearchOptions Replay = Seq; // + visited-set (the PR 1 engine)
-    Replay.Dedup = true;
-    SearchOptions Fork = Replay; // + snapshots + incremental digests
-    Fork.UseSnapshots = true;
-    Fork.FullRehash = false;
-    SearchOptions Steal = Fork; // + work-stealing commit wavefront
-    Steal.Sched = SchedKind::Stealing;
-    SearchOptions Wave4 = Fork; // both schedulers at 4 workers
-    Wave4.Jobs = 4;
-    SearchOptions Steal4 = Steal;
-    Steal4.Jobs = 4;
+    SearchOptions Four = Fork; // both engines at 4 workers
+    Four.Jobs = 4;
 
     Measured Ms[] = {
-        measure(C->ast(), Seq, "seq"),      measure(C->ast(), Replay, "replay"),
-        measure(C->ast(), Fork, "fork"),    measure(C->ast(), Steal, "steal"),
-        measure(C->ast(), Wave4, "wave4"),  measure(C->ast(), Steal4, "steal4"),
-        measureForced(C->ast(), Steal, "steal16", 16),
-        measureForced(C->ast(), Steal, "steal32", 32),
+        measureWave(C->ast(), Seq, "seq", /*FullRehash=*/true),
+        measureWave(C->ast(), Replay, "replay", /*FullRehash=*/true),
+        measureWave(C->ast(), Fork, "fork"),
+        measure(C->ast(), Fork, "steal"),
+        measureWave(C->ast(), Four, "wave4"),
+        measure(C->ast(), Four, "steal4"),
+        measureForced(C->ast(), Fork, "steal16", 16),
+        measureForced(C->ast(), Fork, "steal32", 32),
     };
     const Measured &MSeq = Ms[0], &MRep = Ms[1], &MFork = Ms[2],
                    &MSteal = Ms[3], &MWave4 = Ms[4], &MSteal4 = Ms[5],
@@ -389,14 +405,14 @@ int main(int argc, char **argv) {
   const std::string EvictSource = cundef_bench::deepTreeProgram(10, 512);
   AnalysisRequest::Builder EvictB;
   EvictB.searchRuns(5000).searchJobs(1).resultCache(false);
-  const AnalysisRequest EvictSteal = EvictB.buildOrDie();
-  const AnalysisRequest EvictWave = EvictB.sched(SchedKind::Wave).buildOrDie();
+  const AnalysisRequest EvictReq = EvictB.buildOrDie();
   std::vector<double> EvictStealMs, EvictWaveMs;
   unsigned EvictEvictions = 0, EvictCommitted = 0;
   bool EvictAgree = true;
   for (unsigned Rep = 0; Rep < EvictReps; ++Rep) {
-    DriverOutcome S = timedRun(EvictSteal, EvictSource, EvictStealMs);
-    DriverOutcome W = timedRun(EvictWave, EvictSource, EvictWaveMs);
+    DriverOutcome S = timedRun(EvictReq, EvictSource, EvictStealMs);
+    DriverOutcome W =
+        timedRun(EvictReq, EvictSource, EvictWaveMs, /*Wave=*/true);
     EvictEvictions = std::max(EvictEvictions, S.SearchEvictions);
     EvictCommitted = S.OrdersExplored;
     EvictAgree = EvictAgree && S.OrdersExplored == EvictOrders &&

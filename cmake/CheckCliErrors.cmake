@@ -25,7 +25,13 @@ set(BAD_FLAGS
   --search-jobs=-4
   --search-jobs=
   --seed=banana
+  # Retired selectors (one production scheduler, no user-facing forced
+  # replay): every value is now an unknown flag.
   --search-engine=warp
+  --search-engine=fork
+  --search-engine=replay
+  --search-sched=steal
+  --search-sched=wave
   --translation-cache=maybe
   --translation-cache=
   --result-cache=maybe
@@ -68,8 +74,7 @@ endforeach()
 # must still run the program through to its own exit code.
 set(GOOD_ARGS
   "--search=8;--search-jobs=0"
-  "--search=8;--search-jobs=4;--search-engine=replay"
-  "--search=8;--search-engine=fork"
+  "--search=8;--search-jobs=4"
   "--search=8;--translation-cache=off"
   "--search=8;--translation-cache=on"
   "--search=8;--result-cache=off"

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Configuration::fingerprint(): the state digest behind the parallel
-// evaluation-order search's visited-set (core/Search.cpp). The digest
+// evaluation-order search's visited-set (core/Scheduler.cpp). The digest
 // must cover every cell whose content can influence future steps; AST
 // nodes, declarations, and canonical types are hashed by address, which
 // is a stable identity because every machine of one search shares the

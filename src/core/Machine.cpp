@@ -244,50 +244,54 @@ void Machine::protectConstRanges(uint32_t ObjId, QualType Ty,
   }
 }
 
-/// Collects static-duration locals in a function body.
+/// Collects a function body's static-duration locals into \p Out and
+/// its block-scope `extern` declarations into \p Externs.
 static void collectStaticLocals(const Stmt *S,
-                                std::vector<const VarDecl *> &Out) {
+                                std::vector<const VarDecl *> &Out,
+                                std::vector<const VarDecl *> &Externs) {
   if (!S)
     return;
   switch (S->Kind) {
   case StmtKind::Compound:
     for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-      collectStaticLocals(Sub, Out);
+      collectStaticLocals(Sub, Out, Externs);
     return;
   case StmtKind::Decl:
     for (const VarDecl *V : cast<DeclStmt>(S)->Decls)
       if (V->Storage == StorageClass::Static)
         Out.push_back(V);
+      else if (V->Storage == StorageClass::Extern)
+        Externs.push_back(V);
     return;
   case StmtKind::If: {
     const auto *I = cast<IfStmt>(S);
-    collectStaticLocals(I->Then, Out);
-    collectStaticLocals(I->Else, Out);
+    collectStaticLocals(I->Then, Out, Externs);
+    collectStaticLocals(I->Else, Out, Externs);
     return;
   }
   case StmtKind::While:
-    collectStaticLocals(cast<WhileStmt>(S)->Body, Out);
+    collectStaticLocals(cast<WhileStmt>(S)->Body, Out, Externs);
     return;
   case StmtKind::Do:
-    collectStaticLocals(cast<DoStmt>(S)->Body, Out);
+    collectStaticLocals(cast<DoStmt>(S)->Body, Out, Externs);
     return;
   case StmtKind::For: {
     const auto *F = cast<ForStmt>(S);
-    collectStaticLocals(F->Init, Out);
-    collectStaticLocals(F->Body, Out);
+    collectStaticLocals(F->Init, Out, Externs);
+    collectStaticLocals(F->Body, Out, Externs);
     return;
   }
   case StmtKind::Switch:
-    collectStaticLocals(cast<SwitchStmt>(S)->Body, Out);
+    collectStaticLocals(cast<SwitchStmt>(S)->Body, Out, Externs);
     return;
   case StmtKind::Case:
-    collectStaticLocals(cast<CaseStmt>(S)->Sub, Out);
+    collectStaticLocals(cast<CaseStmt>(S)->Sub, Out, Externs);
     return;
   case StmtKind::Default:
-    collectStaticLocals(cast<DefaultStmt>(S)->Sub, Out);
+    collectStaticLocals(cast<DefaultStmt>(S)->Sub, Out, Externs);
     return;
   case StmtKind::Label:
-    collectStaticLocals(cast<LabelStmt>(S)->Sub, Out);
+    collectStaticLocals(cast<LabelStmt>(S)->Sub, Out, Externs);
     return;
   default:
     return;
@@ -295,39 +299,44 @@ static void collectStaticLocals(const Stmt *S,
 }
 
 void Machine::initStaticStorage() {
+  std::vector<const VarDecl *> Statics, Externs;
+  for (const FunctionDecl *F : Ctx.TU.Functions)
+    if (F->Body)
+      collectStaticLocals(F->Body, Statics, Externs);
   // Globals first, in declaration order.
   for (const VarDecl *G : Ctx.TU.Globals) {
-    if (G->Storage == StorageClass::Extern && !G->Init)
-      continue; // tentative external; give it storage anyway
+    if (G->Storage == StorageClass::Extern && !G->Init) {
+      Externs.push_back(G); // declares, does not define
+      continue;
+    }
     uint32_t Id = createObjectForDecl(G, StorageKind::Global);
     Conf.GlobalEnv[G->DeclId] = Id;
   }
   // Static locals.
-  for (const FunctionDecl *F : Ctx.TU.Functions) {
-    if (!F->Body)
-      continue;
-    std::vector<const VarDecl *> Statics;
-    collectStaticLocals(F->Body, Statics);
-    for (const VarDecl *V : Statics) {
-      uint32_t Id = createObjectForDecl(V, StorageKind::StaticLocal);
-      Conf.GlobalEnv[V->DeclId] = Id;
-    }
+  for (const VarDecl *V : Statics) {
+    uint32_t Id = createObjectForDecl(V, StorageKind::StaticLocal);
+    Conf.GlobalEnv[V->DeclId] = Id;
   }
+  // Every `extern` declaration, at file or block scope, denotes the
+  // object the unit defines under that name (C11 6.2.2p2/p4). A name
+  // the unit never defines stays unbound: using it reports catalog row
+  // 161 (RulesExpr.cpp).
+  for (const VarDecl *E : Externs)
+    for (const VarDecl *G : Ctx.TU.Globals)
+      if (G->Name == E->Name &&
+          (G->Storage != StorageClass::Extern || G->Init)) {
+        Conf.GlobalEnv[E->DeclId] = Conf.GlobalEnv[G->DeclId];
+        break;
+      }
   // Initializers run as ordinary (constant) stores before main.
   // Push in reverse so the first global initializes first.
   std::vector<const VarDecl *> WithInit;
   for (const VarDecl *G : Ctx.TU.Globals)
     if (G->Init)
       WithInit.push_back(G);
-  for (const FunctionDecl *F : Ctx.TU.Functions) {
-    if (!F->Body)
-      continue;
-    std::vector<const VarDecl *> Statics;
-    collectStaticLocals(F->Body, Statics);
-    for (const VarDecl *V : Statics)
-      if (V->Init)
-        WithInit.push_back(V);
-  }
+  for (const VarDecl *V : Statics)
+    if (V->Init)
+      WithInit.push_back(V);
   for (auto It = WithInit.rbegin(); It != WithInit.rend(); ++It) {
     uint32_t Id = Conf.GlobalEnv[(*It)->DeclId];
     Conf.K.push_back(KItem::simple(KKind::SeqPoint));

@@ -43,6 +43,15 @@ void Machine::stepExpr(const Expr *E) {
     }
     uint32_t Id = Conf.lookup(Ref->Var->DeclId);
     if (!Id) {
+      if (Ref->Var->Storage == StorageClass::Extern) {
+        // An extern object the unit never defines has no storage to
+        // designate: undefined reference (catalog row 161), like a call
+        // to a function with no body. Nothing is left to read or write,
+        // so the run ends here.
+        flagUbCode(161, E->Loc);
+        Conf.Status = RunStatus::UbDetected;
+        return;
+      }
       Conf.Status = RunStatus::Internal;
       return;
     }

@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Determinism model (docs/SEARCH.md has the full argument):
+// Determinism model (docs/SEARCH.md has the full argument). "The wave
+// engine" below is the wave-synchronous search kept as the test oracle
+// (tests/reference/WaveSearch.cpp):
 //
 //  * Execution is speculative. A task's machine runs as soon as any
 //    worker picks it up, consulting the visited-set only for entries
@@ -381,7 +383,11 @@ struct ProgramState {
   bool Snapshots = true;
 
   /// All tasks ever created (stable addresses; deques point in here).
-  std::deque<Task> Arena;
+  /// Everything above is read by every worker on the hot path (Dedup at
+  /// each choice point); the commit plane writes from here on (Arena's
+  /// end on every child push). A cache line of its own keeps those
+  /// writes from invalidating the reads, whatever the sizes above.
+  alignas(64) std::deque<Task> Arena;
 
   std::mutex CommitMu;
   /// The sealed generation being finalized, sorted canonically.
@@ -725,8 +731,7 @@ struct SearchScheduler::Impl {
         return true; // still inside the parent's already-explored path
       if (Trace.back().second < 2)
         return true; // forced point: nothing branches here
-      const uint64_t Fp = P.SOpts.FullRehash ? Mach.configFingerprintFull()
-                                             : Mach.configFingerprint();
+      const uint64_t Fp = Mach.configFingerprint();
       if (Depth == PinnedLen) {
         T.DivergenceFp = Fp;
         T.HasDivergence = true;
@@ -1162,7 +1167,7 @@ size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
   // meaning; nonzero capacities come from Config.SnapshotBudget (the
   // cache is shared, so per-program sizes cannot coexist).
   P.Dedup = SOpts.Dedup && MOpts.Order != EvalOrderKind::Random;
-  P.Snapshots = SOpts.UseSnapshots && SOpts.SnapshotBudget > 0 &&
+  P.Snapshots = SOpts.SnapshotBudget > 0 &&
                 MOpts.Order != EvalOrderKind::Random &&
                 MOpts.Style != RuleStyle::Declarative;
 
@@ -1397,4 +1402,14 @@ void SearchScheduler::stop() {
   for (std::thread &T : S.Threads)
     T.join();
   S.Threads.clear();
+}
+
+SearchResult OrderSearch::run() {
+  SearchScheduler::Config Cfg;
+  Cfg.Jobs = Opts.Jobs;
+  Cfg.SnapshotBudget = Opts.SnapshotBudget;
+  SearchScheduler Scheduler(Cfg);
+  size_t Prog = Scheduler.submit(Ctx, BaseOpts, Opts);
+  Scheduler.runAll();
+  return Scheduler.takeResult(Prog);
 }

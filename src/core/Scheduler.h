@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scheduling layer under the evaluation-order search. The wave
-/// engine (core/Search.cpp) barriers every frontier generation on its
-/// slowest machine; this layer removes the barrier by splitting the
-/// search into two planes:
+/// The evaluation-order search engine. A wave-synchronous search (the
+/// test oracle, tests/reference/WaveSearch.cpp) barriers every frontier
+/// generation on its slowest machine; this layer removes the barrier by
+/// splitting the search into two planes:
 ///
 ///  * **Execution plane** — per-worker deques with work stealing. A
 ///    worker pops its own deque oldest-first and steals oldest-first
@@ -27,7 +27,8 @@
 ///    wall-clock, never change a result (docs/SEARCH.md has the full
 ///    argument).
 ///
-/// The layer also owns the two shared structures both engines use:
+/// The layer also owns the two shared structures (the reference wave
+/// engine uses the snapshot cache too):
 ///
 ///  * SnapshotCache — an LRU cache of choice-point snapshots replacing
 ///    the old admission-only SnapshotBudget: new captures are always

@@ -9,44 +9,32 @@
 /// evaluation order (paper section 2.5.2: `(10/d) + setDenom(0)` is
 /// miscompilable because *some* order divides by zero); "any tool
 /// seeking to identify all undefined behaviors must search all possible
-/// evaluation strategies". This driver enumerates order decisions in
-/// parallel waves:
+/// evaluation strategies". This header holds the search's shared
+/// types; the one engine that runs it is the work-stealing scheduler
+/// (core/Scheduler.h):
 ///
-///  * The frontier is a wave of decision prefixes. Workers claim
-///    entries from a shared index; children (one per flippable choice
-///    point beyond the prefix) form the next wave.
+///  * The search space is a tree of decision prefixes: a prefix's run
+///    executes its pinned decisions, then continues with the policy
+///    default; its children flip one later flippable choice point each.
 ///  * A run starts from a **snapshot** its parent captured at the
 ///    flipped choice point — the paper's "clone the configuration at
 ///    choice points" — so only the new suffix executes. When no
-///    snapshot exists (memory budget, sync-call choice points, the
-///    Random policy, forced-replay mode) the run falls back to
-///    replaying its pinned prefix from main(). Both start modes are
-///    step-for-step identical; witnesses never depend on which was
-///    used.
+///    snapshot exists (SnapshotBudget 0, LRU eviction, sync-call choice
+///    points, the Random policy) the run replays its pinned prefix from
+///    main(). Both start modes are step-for-step identical; witnesses
+///    never depend on which was used.
 ///  * A visited-set keyed by (decision depth, configuration
-///    fingerprint) recognizes symmetric interleavings: when a run
-///    reaches a state some earlier prefix already reached at the same
-///    depth, the run is cancelled mid-flight and its redundant subtree
-///    is never spawned, so commuting choice points cost linear instead
-///    of exponential work. Fingerprints are maintained incrementally
-///    (O(state touched), core/Fingerprint.cpp).
-///  * A cancellation token stops all in-flight machines once
-///    undefinedness is found by a prefix that is canonically (lex)
-///    smaller than anything still outstanding.
+///    fingerprint) recognizes symmetric interleavings, so commuting
+///    choice points cost linear instead of exponential work.
+///    Fingerprints are maintained incrementally (O(state touched),
+///    core/Fingerprint.cpp).
 ///
-/// The reported witness is deterministic: independent of the number of
-/// worker threads, of thread scheduling, and of the snapshot/replay
-/// start mode, because waves are processed as sorted batches, per-run
-/// outcomes depend only on (prefix, committed visited-set), the
-/// visited-set is committed at wave barriers, and ties are broken
-/// canonically. See docs/SEARCH.md.
-///
-/// Scheduling is layered (SearchOptions::Sched): the wave engine above
-/// lives in Search.cpp as the verified reference; the default
-/// work-stealing scheduler (core/Scheduler.h) executes runs
-/// speculatively on per-worker deques and commits them through a
-/// canonical wavefront that reproduces the wave engine's outputs
-/// byte-for-byte without its barriers.
+/// The committed outputs (verdict, witness, reports, runs, dedup hits,
+/// truncation) are deterministic: independent of the number of worker
+/// threads, of thread scheduling, and of the start mode. The scheduler
+/// commits runs through a canonical wavefront; tests byte-compare it
+/// against a wave-synchronous oracle kept under tests/reference/. See
+/// docs/SEARCH.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,25 +59,10 @@ inline uint64_t searchVisitKey(size_t Depth, uint64_t Fp) {
                           1));
 }
 
-/// Which scheduling layer drives the search. Both produce byte-identical
-/// committed outputs (verdict, witness, reports, runs, dedup hits); they
-/// differ only in wall-clock shape.
-enum class SchedKind : uint8_t {
-  /// Wave-synchronous: each frontier generation barriers on its slowest
-  /// machine (the PR-1/PR-2 engine, kept as the verified reference the
-  /// stealing scheduler is tested against).
-  Wave,
-  /// Work-stealing: per-worker deques, speculative execution, canonical
-  /// commit wavefront (core/Scheduler.h). The default.
-  Stealing,
-};
-
 struct SearchOptions {
   /// Replay budget: at most this many machine runs (including runs the
   /// dedup cancels mid-flight).
   unsigned MaxRuns = 64;
-  /// Scheduling layer (--search-sched). Results never depend on this.
-  SchedKind Sched = SchedKind::Stealing;
   /// Worker threads. 1 = run in-place on the calling thread; 0 =
   /// auto-detect std::thread::hardware_concurrency(). The verdict and
   /// witness do not depend on this; only wall-clock does.
@@ -98,29 +71,21 @@ struct SearchOptions {
   /// fingerprints. Off = pure prefix enumeration (the exhaustive
   /// baseline bench_search compares against). Ignored under
   /// EvalOrderKind::Random: replay cannot reproduce the policy's
-  /// shuffle stream, so the dedup invariant does not hold there (see
-  /// Search.cpp).
+  /// shuffle stream, so the dedup invariant does not hold there.
   bool Dedup = true;
-  /// Fork children from configuration snapshots captured at their
-  /// choice points instead of replaying prefixes from main(). Off =
-  /// forced-replay mode (the PR-1 engine; the equivalence suite and
-  /// bench_search compare against it). Ignored under Random (the
-  /// chooser's RNG stream position would diverge between fork and
-  /// replay) and under RuleStyle::Declarative (its monitors keep state
-  /// outside the configuration).
-  bool UseSnapshots = true;
   /// Capacity of the LRU snapshot cache (core/Scheduler.h). Every
   /// capture is admitted; going over capacity evicts the *oldest*
   /// pending snapshot, whose child falls back to prefix replay (the old
   /// scheme refused new captures instead, so deep programs thrashed
-  /// against a budget full of stale entries). 0 = pure replay.
-  /// Snapshots are copy-on-write-cheap but not free: each pins the
-  /// unshared parts of one configuration.
+  /// against a budget full of stale entries). 0 = pure replay: every
+  /// child replays its prefix from main() (the fork-vs-replay
+  /// equivalence suite and bench_search compare against it). Snapshots
+  /// are never taken under Random (the chooser's RNG stream position
+  /// would diverge between fork and replay) or RuleStyle::Declarative
+  /// (its monitors keep state outside the configuration). Snapshots
+  /// are copy-on-write-cheap but not free: each pins the unshared parts
+  /// of one configuration.
   unsigned SnapshotBudget = 1024;
-  /// Fingerprint via Configuration::fingerprintFull() (full-state
-  /// rehash at every choice point) instead of the incremental digests.
-  /// Only bench_search uses this, as the PR-1 cost model baseline.
-  bool FullRehash = false;
   /// Record every run's decision trace and fingerprint stream in
   /// SearchResult::Runs (testing: the fork-vs-replay equivalence
   /// suite). Deterministic at Jobs=1; with more jobs, runs cancelled by
@@ -129,21 +94,16 @@ struct SearchOptions {
 };
 
 /// Stable FNV-1a digest over the *outcome-affecting* SearchOptions
-/// fields. MaxRuns, Dedup, and UseSnapshots change what the search
-/// explores; Sched never changes committed results, but a cached
-/// outcome replays its per-program counters (steals, waves) verbatim,
-/// so serving a wave outcome to a steal request would report the wrong
-/// shape — it stays in the key. Jobs, SnapshotBudget, FullRehash, and
-/// CollectRuns shape only wall-clock and test instrumentation
-/// (committed outcomes are independent of them by the scheduler's
-/// determinism contract), so they are deliberately excluded: a 4-job
-/// and an 8-job search of the same program share one cache entry.
+/// fields: MaxRuns and Dedup change what the search explores. Jobs,
+/// SnapshotBudget, and CollectRuns shape only wall-clock and test
+/// instrumentation (committed outcomes are independent of them by the
+/// scheduler's determinism contract), so they are deliberately
+/// excluded: a 4-job and an 8-job search of the same program share one
+/// cache entry.
 inline uint64_t searchOptionsFingerprint(const SearchOptions &S) {
   Fnv1a H;
   H.u32(S.MaxRuns);
-  H.u8(static_cast<uint8_t>(S.Sched));
   H.u8(S.Dedup);
-  H.u8(S.UseSnapshots);
   return mix64(H.digest());
 }
 
@@ -168,24 +128,23 @@ struct SearchResult {
   /// Runs cancelled mid-flight because their configuration fingerprint
   /// was already visited (a subset of RunsExplored).
   unsigned DedupHits = 0;
-  /// Whole subtrees dropped at a wave barrier because two entries of
-  /// one wave diverged into the same state (in-wave twins). These never
-  /// became runs.
+  /// Whole subtrees dropped at generation commit because two entries of
+  /// one generation diverged into the same state (in-generation twins).
+  /// These never became runs.
   unsigned SubtreesPruned = 0;
   /// Runs that started from a forked snapshot (the rest replayed their
   /// prefix from main()). Wall-clock detail: under parallel execution
   /// the fork/replay split depends on snapshot-cache timing.
   unsigned ForkedRuns = 0;
-  /// Frontier waves (stealing scheduler: committed generations).
+  /// Committed frontier generations.
   unsigned Waves = 0;
   /// Pending snapshots of this search evicted by the LRU cache; each
   /// eviction turned one fork into a prefix replay.
   unsigned SnapshotEvictions = 0;
-  /// Tasks of this program taken from another worker's deque (stealing
-  /// scheduler only; wall-clock detail).
+  /// Tasks of this program taken from another worker's deque
+  /// (wall-clock detail).
   unsigned Steals = 0;
-  /// Peak frontier size: the stealing scheduler's maximum queued-task
-  /// count, or the wave engine's largest wave.
+  /// Peak frontier size: the scheduler's maximum queued-task count.
   unsigned PeakFrontier = 0;
   /// True when the search ran out of budget with unexplored subtrees
   /// still on the frontier: a clean verdict is then *not* exhaustive.
@@ -216,7 +175,8 @@ struct SearchResult {
   std::vector<SearchRunRecord> Runs;
 };
 
-/// Parallel deduplicated search over evaluation orders.
+/// Parallel deduplicated search over evaluation orders: one program on
+/// a one-shot SearchScheduler (defined in core/Scheduler.cpp).
 class OrderSearch {
 public:
   OrderSearch(const AstContext &Ctx, MachineOptions BaseOpts,

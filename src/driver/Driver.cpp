@@ -45,32 +45,19 @@ BatchResult Driver::runBatch(const std::vector<BatchInput> &Inputs) {
                                 (RBefore.Hits + RBefore.InflightJoins);
   Batch.Stats.ResultCacheMisses = RAfter.Misses - RBefore.Misses;
 
-  if (Req.searchSched() == SchedKind::Wave) {
-    // The wave reference path runs on the engine's frontend workers
-    // and never touches the steal pool: aggregate the per-program
-    // outcomes instead of diffing pool counters.
-    SchedulerStats St = waveAggregateStats(Batch.Outcomes);
-    Batch.Stats.Jobs = St.Jobs;
-    Batch.Stats.RunsExecuted = St.RunsExecuted;
-    Batch.Stats.RunsCommitted = St.RunsCommitted;
-    Batch.Stats.DedupHits = St.DedupHits;
-    Batch.Stats.SnapshotEvictions = St.SnapshotEvictions;
-    Batch.Stats.PeakFrontier = St.PeakFrontier;
-  } else {
-    // Per-batch delta of the engine's monotonic pool counters: exact
-    // on a quiescent engine, and still meaningful when batches share
-    // the pool with other submissions.
-    Batch.Stats.Jobs = After.Jobs;
-    Batch.Stats.Steals = After.Steals - Before.Steals;
-    Batch.Stats.SnapshotEvictions =
-        After.SnapshotEvictions - Before.SnapshotEvictions;
-    Batch.Stats.PeakFrontier = After.PeakFrontier;
-    Batch.Stats.RunsExecuted = After.RunsExecuted - Before.RunsExecuted;
-    Batch.Stats.RunsCommitted = After.RunsCommitted - Before.RunsCommitted;
-    Batch.Stats.ProvisionalRequeues =
-        After.ProvisionalRequeues - Before.ProvisionalRequeues;
-    Batch.Stats.DedupHits = After.DedupHits - Before.DedupHits;
-  }
+  // Per-batch delta of the engine's monotonic pool counters: exact on
+  // a quiescent engine, and still meaningful when batches share the
+  // pool with other submissions.
+  Batch.Stats.Jobs = After.Jobs;
+  Batch.Stats.Steals = After.Steals - Before.Steals;
+  Batch.Stats.SnapshotEvictions =
+      After.SnapshotEvictions - Before.SnapshotEvictions;
+  Batch.Stats.PeakFrontier = After.PeakFrontier;
+  Batch.Stats.RunsExecuted = After.RunsExecuted - Before.RunsExecuted;
+  Batch.Stats.RunsCommitted = After.RunsCommitted - Before.RunsCommitted;
+  Batch.Stats.ProvisionalRequeues =
+      After.ProvisionalRequeues - Before.ProvisionalRequeues;
+  Batch.Stats.DedupHits = After.DedupHits - Before.DedupHits;
 
   auto End = std::chrono::steady_clock::now();
   Batch.Stats.WallMs =

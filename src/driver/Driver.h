@@ -102,10 +102,7 @@ public:
   /// Each program keeps the single-program contract: its default-order
   /// run executes first, the search fans out only when that run
   /// completed cleanly, and its witness/verdict/output are
-  /// deterministic. Selecting the wave reference scheduler
-  /// (AnalysisRequest::searchSched) runs each unit synchronously
-  /// through the wave engine instead — same observable outcomes, no
-  /// shared pool.
+  /// deterministic.
   BatchResult runBatch(const std::vector<BatchInput> &Inputs);
 
   /// Compile-only entry point (used by tests that inspect the AST):

@@ -10,7 +10,7 @@
 //    and returns. The frontend pool dequeues tasks, resolves each
 //    through the translation cache (one compile per content key,
 //    however many submissions race on it), and either finishes the job
-//    right there (compile failure, wave-scheduled search) or seeds the
+//    right there (compile failure, static-only analysis) or seeds the
 //    search scheduler with the shared artifact. Frontend compilation
 //    of later submissions therefore overlaps searches already running
 //    on the warm steal pool.
@@ -56,30 +56,6 @@ EngineConfig cundef::engineConfigFor(const AnalysisRequest &Req) {
   EngineConfig Cfg;
   Cfg.Workers = Req.searchJobs();
   return Cfg;
-}
-
-SchedulerStats
-cundef::waveAggregateStats(const std::vector<DriverOutcome> &Outcomes) {
-  SchedulerStats St;
-  St.Jobs = 1; // each wave search runs its program alone
-  for (const DriverOutcome &O : Outcomes) {
-    // A result-cache hit ran no search: its counters are a replay of
-    // the original run's and must not be double-counted into the
-    // pool-surrogate aggregate (the original already was, or will be,
-    // when its own outcome passes through here).
-    if (O.ResultCacheHit)
-      continue;
-    ++St.Programs;
-    St.RunsExecuted += O.OrdersExplored;
-    St.DedupHits += O.OrdersDeduped;
-    St.SnapshotEvictions += O.SearchEvictions;
-    St.PeakFrontier = std::max<uint64_t>(St.PeakFrontier, O.SearchPeakFrontier);
-  }
-  // The wave barrier never speculates: every executed run is a
-  // committed run, the speculative-waste ratio is identically zero,
-  // and the provisional/shard counters have no wave counterpart.
-  St.RunsCommitted = St.RunsExecuted;
-  return St;
 }
 
 std::string DriverOutcome::renderReport() const {
@@ -304,9 +280,7 @@ struct AnalysisEngine::Impl {
     K.MachineFp = machineOptionsFingerprint(Req.machine());
     SearchOptions SO;
     SO.MaxRuns = Req.searchRuns();
-    SO.Sched = Req.searchSched();
     SO.Dedup = Req.searchDedup();
-    SO.UseSnapshots = Req.searchSnapshots();
     Fnv1a H;
     H.u64(searchOptionsFingerprint(SO));
     H.u8(static_cast<uint8_t>(Req.staticAnalyze()));
@@ -330,8 +304,8 @@ struct AnalysisEngine::Impl {
   }
 
   /// The whole per-job frontend stage, on a frontend worker: cache
-  /// lookup / compile, then finish inline (compile failure, wave
-  /// search) or seed the search scheduler.
+  /// lookup / compile, then finish inline (compile failure,
+  /// static-only) or seed the search scheduler.
   void processSubmission(FrontendTask Task) {
     JobState &St = *Task.St;
     const AnalysisRequest &Req = Task.Req;
@@ -437,14 +411,6 @@ struct AnalysisEngine::Impl {
       return;
     }
 
-    if (Req.searchSched() == SchedKind::Wave) {
-      auto SearchStart = std::chrono::steady_clock::now();
-      runWave(Req, *Art, O);
-      O.SearchMicros = microsSince(SearchStart);
-      finishJob(St, std::move(O), microsSince(St.SubmitTime));
-      return;
-    }
-
     // Pooled path: the request was validated at build time (searchRuns
     // >= 1), so the root run always executes and doubles as the
     // default-order run (root gating).
@@ -452,9 +418,7 @@ struct AnalysisEngine::Impl {
     SO.MaxRuns = Req.searchRuns();
     SO.Jobs = Req.searchJobs();
     SO.Dedup = Req.searchDedup();
-    SO.UseSnapshots = Req.searchSnapshots();
     SO.SnapshotBudget = Cfg.SnapshotBudget;
-    SO.Sched = SchedKind::Stealing;
 
     {
       std::lock_guard<std::mutex> Lock(Mu);
@@ -546,10 +510,15 @@ struct AnalysisEngine::Impl {
     DrainCv.notify_all();
   }
 
-  /// The search-counter tail shared by the pooled and wave paths:
-  /// everything except the root-run fields. New SearchResult counters
-  /// get threaded through here exactly once.
-  static void mapSearchCounters(DriverOutcome &O, SearchResult &SR) {
+  /// Folds a root-gated SearchResult into the outcome — the single
+  /// mapping every pooled submission shares. The root run doubles as
+  /// the default-order run, so its status/output/exit code are the
+  /// program's, and OrdersExplored counts every explored order once.
+  static void mapSearchResult(DriverOutcome &O, SearchResult SR) {
+    O.Status = SR.RootStatus;
+    O.ExitCode = SR.RootExitCode;
+    O.Output = std::move(SR.RootOutput);
+    O.OrdersExplored = SR.RunsExplored;
     O.OrdersDeduped = SR.DedupHits + SR.SubtreesPruned;
     O.SearchTruncated = SR.FrontierTruncated;
     O.SearchDropped = SR.DroppedSubtrees;
@@ -560,58 +529,6 @@ struct AnalysisEngine::Impl {
       O.DynamicUb = std::move(SR.Reports);
       O.SearchWitness = std::move(SR.Witness);
     }
-  }
-
-  /// Folds a root-gated SearchResult into the outcome — the single
-  /// mapping every pooled submission shares. The root run doubles as
-  /// the default-order run, so its status/output/exit code are the
-  /// program's, and OrdersExplored counts every explored order once.
-  static void mapSearchResult(DriverOutcome &O, SearchResult SR) {
-    O.Status = SR.RootStatus;
-    O.ExitCode = SR.RootExitCode;
-    O.Output = std::move(SR.RootOutput);
-    O.OrdersExplored = SR.RunsExplored;
-    mapSearchCounters(O, SR);
-  }
-
-  //===--- Wave reference path (frontend worker thread) -------------------===//
-
-  /// The wave reference engine has no service scheduler: wave requests
-  /// run to completion on the frontend worker that compiled them, in
-  /// the classic two-phase shape (default-order run, then a wave
-  /// search when that run was clean). Observable outputs — including
-  /// OrdersExplored, which counts each explored order exactly once at
-  /// both --search-sched values — match the pooled path
-  /// (tests/test_translation_cache.cpp pins the counter parity).
-  void runWave(const AnalysisRequest &Req, const CompiledProgram &C,
-               DriverOutcome &O) {
-    UbSink RunSink;
-    Machine M(C.ast(), Req.machine(), RunSink);
-    O.Status = M.run();
-    O.ExitCode = M.config().ExitCode;
-    O.Output = M.config().Output;
-    O.DynamicUb = RunSink.all();
-    O.OrdersExplored = 1;
-
-    if (!O.DynamicUb.empty() || Req.searchRuns() <= 1 ||
-        O.Status != RunStatus::Completed)
-      return;
-    SearchOptions SO;
-    SO.MaxRuns = Req.searchRuns();
-    SO.Jobs = Req.searchJobs();
-    SO.Dedup = Req.searchDedup();
-    SO.UseSnapshots = Req.searchSnapshots();
-    SO.SnapshotBudget = Cfg.SnapshotBudget;
-    SO.Sched = SchedKind::Wave;
-    OrderSearch Search(C.ast(), Req.machine(), SO);
-    SearchResult SR = Search.run();
-    // The wave search re-executes the default order as its own root.
-    // That re-run is a wall-clock detail of this path, not a distinct
-    // order: RunsExplored already counts the root once, so assigning
-    // (not adding) keeps one counter semantics across schedulers —
-    // the pooled path reports exactly the same number.
-    O.OrdersExplored = SR.RunsExplored;
-    mapSearchCounters(O, SR);
   }
 };
 

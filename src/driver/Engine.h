@@ -152,8 +152,7 @@ struct EngineConfig {
   /// disables it (the kcc --result-cache=off A/B mode).
   unsigned ResultCacheEntries = 256;
   /// Threads of the frontend pool, which compiles submissions off the
-  /// submitting thread (and runs wave-scheduled searches, which never
-  /// touch the steal pool). 0 = auto (2): enough to overlap frontend
+  /// submitting thread. 0 = auto (2): enough to overlap frontend
   /// work with searches without oversubscribing the search workers.
   unsigned FrontendWorkers = 0;
 };
@@ -163,14 +162,6 @@ struct EngineConfig {
 /// Driver facade and the batched tool runner size their engines this
 /// way.
 EngineConfig engineConfigFor(const AnalysisRequest &Req);
-
-/// Pool-counter surrogate for wave-scheduled runs, which never touch
-/// the steal pool: what the wave reference path can truthfully
-/// aggregate from per-program outcomes (steals are genuinely zero,
-/// Jobs is 1 by definition — each wave search runs its program alone).
-/// Shared by Driver::runBatch's wave branch and kcc's
-/// --batch-stats/--json reporting so the two surfaces can never drift.
-SchedulerStats waveAggregateStats(const std::vector<DriverOutcome> &Outcomes);
 
 /// Engine memory-observability counters: what the engine currently
 /// retains per job, beyond the caches that are *supposed* to persist
@@ -198,11 +189,12 @@ struct EngineJobInfo {
 
 /// Streaming event interface. Callbacks fire on engine threads —
 /// frontend workers for jobs that end there (compile failures,
-/// wave-scheduled searches), search workers for pooled jobs — so
-/// implementations must be thread-safe. A callback may call back into
-/// the engine — including submit() — but must not block on the job it
-/// is being called for. Event order per job: onFrontierTruncated /
-/// onUbFound (as applicable), then onProgramFinished last.
+/// static-only analyses, result-cache hits), search workers for pooled
+/// jobs — so implementations must be thread-safe. A callback may call
+/// back into the engine — including submit() — but must not block on
+/// the job it is being called for. Event order per job:
+/// onFrontierTruncated / onUbFound (as applicable), then
+/// onProgramFinished last.
 class EngineSink {
 public:
   virtual ~EngineSink() = default;

@@ -186,8 +186,8 @@ cundef::renderJsonDocument(const std::vector<JsonProgram> &Programs,
     Out += "  ],\n";
   }
   // Speculation accounting (cundef-kcc-v1 additions): the waste ratio
-  // is the executed surplus over committed runs — 0.0 on the wave path
-  // and at jobs=1, where speculation cannot outrun the wavefront.
+  // is the executed surplus over committed runs — 0.0 at jobs=1, where
+  // speculation cannot outrun the wavefront.
   const double Waste =
       Pool.RunsCommitted
           ? static_cast<double>(Pool.RunsExecuted - Pool.RunsCommitted) /

@@ -93,17 +93,10 @@ public:
   unsigned searchRuns() const { return SearchRuns; }
   /// Worker threads for the search pool. 0 = auto-detect hardware
   /// concurrency. An AnalysisEngine sizes its pool from its own
-  /// EngineConfig; this field drives the Driver adapters and the
-  /// inline wave path.
+  /// EngineConfig; this field drives the Driver adapters.
   unsigned searchJobs() const { return SearchJobs; }
   /// Deduplicate symmetric interleavings during the search.
   bool searchDedup() const { return SearchDedup; }
-  /// Fork search children from snapshots instead of replaying
-  /// prefixes.
-  bool searchSnapshots() const { return SearchSnapshots; }
-  /// Scheduling layer. Results never depend on this (core/Scheduler.h);
-  /// Wave selects the sequential reference engine.
-  SchedKind searchSched() const { return SearchSched; }
   /// Consult the engine's content-addressed result cache
   /// (driver/ResultCache.h) for this submission. Off forces a full
   /// search even when an identical outcome is resident — the kcc
@@ -120,8 +113,6 @@ private:
   unsigned SearchRuns = 1;
   unsigned SearchJobs = 1;
   bool SearchDedup = true;
-  bool SearchSnapshots = true;
-  SchedKind SearchSched = SchedKind::Stealing;
   bool UseResultCache = true;
 };
 
@@ -147,8 +138,6 @@ public:
   Builder &searchRuns(unsigned N) { Req.SearchRuns = N; return *this; }
   Builder &searchJobs(unsigned N) { Req.SearchJobs = N; return *this; }
   Builder &dedup(bool On) { Req.SearchDedup = On; return *this; }
-  Builder &snapshots(bool On) { Req.SearchSnapshots = On; return *this; }
-  Builder &sched(SchedKind K) { Req.SearchSched = K; return *this; }
   Builder &resultCache(bool On) { Req.UseResultCache = On; return *this; }
 
   struct Result {

@@ -165,20 +165,6 @@ bool parseStyleName(const std::string &Name, RuleStyle &Out) {
   return true;
 }
 
-const char *schedName(SchedKind K) {
-  return K == SchedKind::Wave ? "wave" : "steal";
-}
-
-bool parseSchedName(const std::string &Name, SchedKind &Out) {
-  if (Name == "steal")
-    Out = SchedKind::Stealing;
-  else if (Name == "wave")
-    Out = SchedKind::Wave;
-  else
-    return false;
-  return true;
-}
-
 const char *staticModeName(StaticAnalysisMode M) {
   switch (M) {
   case StaticAnalysisMode::Off:  return "off";
@@ -312,12 +298,10 @@ std::string cundef::serializeRequest(const AnalysisRequest &Req) {
       M.Seed, M.MaxCallDepth, styleName(M.Style));
   Out += strFormat(
       "\"static_checks\":%s,\"static_analyze\":\"%s\",\"search_runs\":%u,"
-      "\"search_jobs\":%u,\"dedup\":%s,\"snapshots\":%s,\"sched\":\"%s\","
-      "\"result_cache\":%s}",
+      "\"search_jobs\":%u,\"dedup\":%s,\"result_cache\":%s}",
       Req.staticChecks() ? "true" : "false",
       staticModeName(Req.staticAnalyze()), Req.searchRuns(), Req.searchJobs(),
       Req.searchDedup() ? "true" : "false",
-      Req.searchSnapshots() ? "true" : "false", schedName(Req.searchSched()),
       Req.useResultCache() ? "true" : "false");
   return Out;
 }
@@ -400,15 +384,10 @@ bool cundef::parseRequest(const JsonValue &V, AnalysisRequest &Out,
   B.searchRuns(Runs);
   B.searchJobs(Jobs);
   B.dedup(V.getBool("dedup", Defaults.searchDedup()));
-  B.snapshots(V.getBool("snapshots", Defaults.searchSnapshots()));
   B.resultCache(V.getBool("result_cache", Defaults.useResultCache()));
-  SchedKind Sched = Defaults.searchSched();
-  if (const JsonValue *SV = V.get("sched"))
-    if (!parseSchedName(SV->asString(), Sched)) {
-      Err = "unknown sched '" + SV->asString() + "'";
-      return false;
-    }
-  B.sched(Sched);
+  // "sched" and "snapshots" are retired: older clients still send them,
+  // and they are ignored (one scheduler, and forced replay is no longer
+  // a request option), whatever their value.
 
   // The same validation gate a local kcc runs: a remote peer cannot
   // smuggle in a configuration the Builder would reject.

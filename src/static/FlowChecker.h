@@ -16,8 +16,8 @@
 /// output and participate in the program's UB verdict; *may* findings
 /// are triage hints, reported separately and never part of the verdict.
 /// Both are sorted by (line, col, code) and deduplicated, so the output
-/// is a pure function of the AST — byte-identical across schedulers,
-/// worker counts, and cache state.
+/// is a pure function of the AST — byte-identical across worker
+/// counts, cache state, and search engines.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -130,7 +130,7 @@ struct CoverageReport {
 
 /// Runs every expressible case batched through \p Eng under \p Req and
 /// grades the catalog. Verdicts are deterministic: they never depend on
-/// worker count, scheduler kind, or what else the engine is running
+/// worker count or on what else the engine is running
 /// (the committed-output determinism contract of core/Scheduler.h).
 CoverageReport runCatalogCoverage(AnalysisEngine &Eng,
                                   const AnalysisRequest &Req);

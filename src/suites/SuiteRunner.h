@@ -112,8 +112,8 @@ struct DesktopScores {
 
 /// Scores the desktop suite batched through one shared engine worker
 /// pool, exactly like scoreJulietBatched/scoreCustomBatched. Verdicts
-/// and reported codes are deterministic across scheduler kind and
-/// worker count (the determinism contract of core/Scheduler.h).
+/// and reported codes are deterministic across worker counts (the
+/// determinism contract of core/Scheduler.h).
 DesktopScores scoreDesktopBatched(const AnalysisRequest &Req,
                                   const std::vector<DesktopCase> &Cases);
 

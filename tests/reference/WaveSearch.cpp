@@ -1,4 +1,4 @@
-//===- core/Search.cpp - Parallel search over evaluation orders --------------===//
+//===- tests/reference/WaveSearch.cpp - Wave-synchronous oracle -------------===//
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
@@ -34,9 +34,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "reference/WaveSearch.h"
 
 #include "core/Scheduler.h"
+#include "frontend/Frontend.h"
+#include "libc/Headers.h"
 
 #include <algorithm>
 #include <atomic>
@@ -45,6 +47,7 @@
 #include <unordered_set>
 
 using namespace cundef;
+using namespace cundef::reference;
 
 namespace {
 
@@ -97,20 +100,10 @@ bool lexLess(const std::vector<uint8_t> &A, const std::vector<uint8_t> &B) {
 
 } // namespace
 
-SearchResult OrderSearch::run() {
-  // The work-stealing scheduler (core/Scheduler.h) is the default; the
-  // wave engine below is the reference implementation its committed
-  // outputs are tested against byte-for-byte.
-  if (Opts.Sched == SchedKind::Stealing) {
-    SearchScheduler::Config Cfg;
-    Cfg.Jobs = Opts.Jobs;
-    Cfg.SnapshotBudget = Opts.SnapshotBudget;
-    SearchScheduler Scheduler(Cfg);
-    size_t Prog = Scheduler.submit(Ctx, BaseOpts, Opts);
-    Scheduler.runAll();
-    return Scheduler.takeResult(Prog);
-  }
-
+SearchResult cundef::reference::waveSearch(const AstContext &Ctx,
+                                           const MachineOptions &BaseOpts,
+                                           const SearchOptions &Opts,
+                                           bool FullRehash) {
   SearchResult Result;
 
   // Replay reproduces a Random-policy run only as its 0/1 flip summary,
@@ -123,7 +116,7 @@ SearchResult OrderSearch::run() {
       Opts.Dedup && BaseOpts.Order != EvalOrderKind::Random;
   // Declarative-style monitors keep sequencing state outside the
   // configuration, which a snapshot cannot capture.
-  const bool Snapshots = Opts.UseSnapshots &&
+  const bool Snapshots = Opts.SnapshotBudget > 0 &&
                          BaseOpts.Order != EvalOrderKind::Random &&
                          BaseOpts.Style != RuleStyle::Declarative;
 
@@ -183,7 +176,7 @@ SearchResult OrderSearch::run() {
         return true; // still inside the parent's already-explored path
       if (Trace.back().second < 2)
         return true; // forced point: nothing branches here
-      const uint64_t Fp = Opts.FullRehash ? Mach.configFingerprintFull()
+      const uint64_t Fp = FullRehash ? Mach.configFingerprintFull()
                                           : Mach.configFingerprint();
       if (Depth == PinnedLen) {
         Item.DivergenceFp = Fp;
@@ -391,4 +384,76 @@ SearchResult OrderSearch::run() {
   Result.RunsExplored = RunsStarted.load();
   Result.SnapshotEvictions = Evictions.load(std::memory_order_relaxed);
   return Result;
+}
+
+DriverOutcome cundef::reference::waveOutcome(const CompiledProgram &C,
+                                             const AnalysisRequest &Req) {
+  DriverOutcome O;
+  O.CompileOk = C.ok();
+  O.CompileErrors = C.errors();
+  O.StaticUb = C.staticUb();
+  O.StaticHints = C.staticHints();
+  if (!C.ok())
+    return O; // Status stays Internal, as on the engine
+  if (Req.staticAnalyze() == StaticAnalysisMode::Only) {
+    O.StaticOnly = true;
+    O.Status = RunStatus::Completed;
+    return O;
+  }
+
+  // The classic two-phase shape: the default-order run, then a wave
+  // search when that run was clean.
+  UbSink RunSink;
+  Machine M(C.ast(), Req.machine(), RunSink);
+  O.Status = M.run();
+  O.ExitCode = M.config().ExitCode;
+  O.Output = M.config().Output;
+  O.DynamicUb = RunSink.all();
+  O.OrdersExplored = 1;
+  if (!O.DynamicUb.empty() || Req.searchRuns() <= 1 ||
+      O.Status != RunStatus::Completed)
+    return O;
+
+  // One worker whatever the request says: the engine's outcome does not
+  // depend on its width, and the wave engine's run count is exact only
+  // at one worker (a witness cuts a parallel wave short at a
+  // timing-dependent point).
+  SearchOptions SO;
+  SO.MaxRuns = Req.searchRuns();
+  SO.Jobs = 1;
+  SO.Dedup = Req.searchDedup();
+  SO.SnapshotBudget = EngineConfig().SnapshotBudget;
+  SearchResult SR = waveSearch(C.ast(), Req.machine(), SO);
+  // The wave search re-executes the default order as its own root;
+  // RunsExplored already counts it once, so assigning (not adding)
+  // keeps the engine's counter semantics.
+  O.OrdersExplored = SR.RunsExplored;
+  O.OrdersDeduped = SR.DedupHits + SR.SubtreesPruned;
+  O.SearchTruncated = SR.FrontierTruncated;
+  O.SearchDropped = SR.DroppedSubtrees;
+  O.SearchSteals = SR.Steals;
+  O.SearchEvictions = SR.SnapshotEvictions;
+  O.SearchPeakFrontier = SR.PeakFrontier;
+  if (SR.UbFound) {
+    O.DynamicUb = std::move(SR.Reports);
+    O.SearchWitness = std::move(SR.Witness);
+  }
+  return O;
+}
+
+std::vector<DriverOutcome>
+cundef::reference::waveBatch(const AnalysisRequest &Req,
+                             const std::vector<BatchInput> &Inputs) {
+  HeaderRegistry Headers;
+  registerStandardHeaders(Headers);
+  FrontendOptions FO;
+  FO.Target = Req.target();
+  FO.StaticChecks = Req.staticChecks();
+  FO.FlowChecks = Req.staticAnalyze() != StaticAnalysisMode::Off;
+  std::vector<DriverOutcome> Out;
+  Out.reserve(Inputs.size());
+  for (const BatchInput &In : Inputs)
+    Out.push_back(waveOutcome(
+        *compileTranslationUnit(FO, In.Source, In.Name, Headers), Req));
+  return Out;
 }

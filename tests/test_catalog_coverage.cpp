@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Engine.h"
+#include "reference/WaveSearch.h"
 #include "suites/CatalogCoverage.h"
 #include "suites/DesktopSuite.h"
 #include "ub/Catalog.h"
@@ -165,21 +166,25 @@ TEST(CatalogCoverage, NoWrongCodeRows) {
 
 TEST(CatalogCoverage, VerdictsDeterministicAcrossSchedulers) {
   // The Coverage column of docs/UB_CATALOG.md is committed output kept
-  // fresh by the catalog_docs_fresh ctest, so verdicts (and reported
-  // codes) must not depend on the scheduler kind that produced them.
-  AnalysisRequest Wave = AnalysisRequest::Builder()
-                             .searchRuns(4)
-                             .searchJobs(1)
-                             .sched(SchedKind::Wave)
-                             .buildOrDie();
-  CoverageReport RW = runCatalogCoverage(Wave);
-  const CoverageReport &RS = quickReport(); // stealing, auto workers
-  ASSERT_EQ(RW.Entries.size(), RS.Entries.size());
-  for (size_t I = 0; I < RW.Entries.size(); ++I) {
-    EXPECT_EQ(RW.Entries[I].Verdict, RS.Entries[I].Verdict)
-        << "row " << RW.Entries[I].Id;
-    EXPECT_EQ(RW.Entries[I].ReportedCode, RS.Entries[I].ReportedCode)
-        << "row " << RW.Entries[I].Id;
+  // fresh by the catalog_docs_fresh ctest, so every triggering
+  // program's outcome (reports, witness, explored and deduplicated
+  // orders) must equal the reference wave engine's.
+  const AnalysisRequest Req = coverageRequest(true);
+  std::vector<BatchInput> Inputs;
+  for (const CoverageCase &Case : catalogCoverageCases())
+    if (Case.expressible())
+      Inputs.push_back({Case.Program, "cov_ub" + std::to_string(Case.Id)});
+  const std::vector<DriverOutcome> Ref = reference::waveBatch(Req, Inputs);
+
+  AnalysisEngine Eng; // stealing, auto workers
+  std::vector<JobHandle> Jobs = Eng.submitBatch(Req, Inputs);
+  ASSERT_EQ(Jobs.size(), Ref.size());
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    const DriverOutcome &O = Jobs[I].wait();
+    EXPECT_EQ(Ref[I].renderReport(), O.renderReport()) << Inputs[I].Name;
+    EXPECT_EQ(Ref[I].SearchWitness, O.SearchWitness) << Inputs[I].Name;
+    EXPECT_EQ(Ref[I].OrdersExplored, O.OrdersExplored) << Inputs[I].Name;
+    EXPECT_EQ(Ref[I].OrdersDeduped, O.OrdersDeduped) << Inputs[I].Name;
   }
 }
 

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Engine.h"
+#include "reference/WaveSearch.h"
 #include "suites/CatalogCoverage.h"
 #include "suites/SuiteRunner.h"
 
@@ -187,7 +188,7 @@ TEST(DesktopSuite, WaveVsStealVerdictsAndWitnessesIdentical) {
   // The desktop programs are pointer-heavy and order-sensitive — the
   // shapes where a scheduler bug would first show. Every half of every
   // pair must produce byte-identical outcomes (verdict, witness,
-  // report, program output) between the wave reference and the
+  // report, program output) between the reference wave engine and the
   // stealing pool at forced widths 1 and 4.
   const DesktopSuite &S = suite();
   ASSERT_TRUE(S.ok()) << S.Error;
@@ -197,31 +198,23 @@ TEST(DesktopSuite, WaveVsStealVerdictsAndWitnessesIdentical) {
     Programs.push_back({Case.Test.Good, Case.Test.Name + "_good.c"});
   }
 
-  AnalysisRequest Wave = AnalysisRequest::Builder()
-                             .searchRuns(16)
-                             .searchJobs(1)
-                             .sched(SchedKind::Wave)
-                             .buildOrDie();
-  AnalysisRequest Steal = AnalysisRequest::Builder()
-                              .searchRuns(16)
-                              .searchJobs(1)
-                              .sched(SchedKind::Stealing)
-                              .buildOrDie();
+  AnalysisRequest Req = AnalysisRequest::Builder()
+                            .searchRuns(16)
+                            .searchJobs(1)
+                            .buildOrDie();
 
-  AnalysisEngine Ref;
-  std::vector<JobHandle> RefJobs = Ref.submitBatch(Wave, Programs);
+  const std::vector<DriverOutcome> Ref = reference::waveBatch(Req, Programs);
   for (unsigned Workers : {1u, 4u}) {
     EngineConfig Cfg;
     Cfg.Workers = Workers;
     Cfg.ClampWorkersToHardware = false;
     AnalysisEngine Eng(Cfg);
-    std::vector<JobHandle> Jobs = Eng.submitBatch(Steal, Programs);
-    ASSERT_EQ(Jobs.size(), RefJobs.size());
+    std::vector<JobHandle> Jobs = Eng.submitBatch(Req, Programs);
+    ASSERT_EQ(Jobs.size(), Ref.size());
     for (size_t I = 0; I < Jobs.size(); ++I)
-      expectIdentical(RefJobs[I].wait(), Jobs[I].wait(),
+      expectIdentical(Ref[I], Jobs[I].wait(),
                       Programs[I].Name + " workers=" +
                           std::to_string(Workers));
     Eng.shutdown();
   }
-  Ref.shutdown();
 }

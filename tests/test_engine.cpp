@@ -88,7 +88,6 @@ TEST(RequestBuilder, DefaultsAreValid) {
   EXPECT_EQ(R.Request.searchJobs(), 1u);
   EXPECT_TRUE(R.Request.staticChecks());
   EXPECT_TRUE(R.Request.searchDedup());
-  EXPECT_EQ(R.Request.searchSched(), SchedKind::Stealing);
 }
 
 TEST(RequestBuilder, RejectsZeroSearchBudget) {

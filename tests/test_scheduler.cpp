@@ -3,10 +3,11 @@
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
 // The work-stealing scheduler (core/Scheduler.h) must commit outputs
-// byte-identical to the wave engine's: same witnesses, reports, run
-// counts, dedup hits, pruned subtrees, and truncation accounting, at
-// any job count, because its canonical commit wavefront replays the
-// wave engine's barrier order while execution proceeds speculatively.
+// byte-identical to the reference wave engine's
+// (tests/reference/WaveSearch.h): same witnesses, reports, run counts,
+// dedup hits, pruned subtrees, and truncation accounting, at any job
+// count, because its canonical commit wavefront replays the wave
+// engine's barrier order while execution proceeds speculatively.
 // This suite asserts that equivalence, the LRU snapshot cache's
 // replay fallback under thrash, and the batched driver's per-program
 // aggregation ordering.
@@ -16,6 +17,7 @@
 #include "core/Scheduler.h"
 #include "driver/Driver.h"
 #include "driver/ToolRunner.h"
+#include "reference/WaveSearch.h"
 #include "suites/JulietGen.h"
 #include "suites/SuiteRunner.h"
 
@@ -65,6 +67,11 @@ SearchResult searchWith(const Driver::Compiled &C, SearchOptions SO) {
   return Search.run();
 }
 
+/// The same search through the reference wave engine (the oracle).
+SearchResult waveWith(const Driver::Compiled &C, SearchOptions SO) {
+  return reference::waveSearch(C->ast(), MachineOptions(), SO);
+}
+
 /// Stealing search with the hardware clamp disabled, so the requested
 /// worker count really runs even on a 1-core CI machine — the
 /// determinism contract must survive genuine cross-thread
@@ -109,14 +116,12 @@ TEST(Scheduler, WaveVsStealingWitnessEquality) {
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
-    Wave.Sched = SchedKind::Wave;
     Wave.Jobs = 1;
-    SearchResult RW = searchWith(C, Wave);
+    SearchResult RW = waveWith(C, Wave);
 
     for (unsigned Jobs : {1u, 2u, 8u, 16u, 32u}) {
       SearchOptions Steal;
       Steal.MaxRuns = 256;
-      Steal.Sched = SchedKind::Stealing;
       Steal.Jobs = Jobs;
       for (int Round = 0; Round < 3; ++Round) {
         SearchResult RS = searchStealForced(C, Steal, Jobs);
@@ -150,12 +155,10 @@ TEST(Scheduler, WaveVsStealingTraceByteEquality) {
     SearchOptions Wave;
     Wave.MaxRuns = 256;
     Wave.Jobs = 1;
-    Wave.Sched = SchedKind::Wave;
     Wave.CollectRuns = true;
     SearchOptions Steal = Wave;
-    Steal.Sched = SchedKind::Stealing;
 
-    SearchResult RW = searchWith(C, Wave);
+    SearchResult RW = waveWith(C, Wave);
     SearchResult RS = searchWith(C, Steal);
     expectSameVerdict(RW, RS, Source);
     ASSERT_EQ(RW.Runs.size(), RS.Runs.size()) << Source;
@@ -191,14 +194,12 @@ TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
-    Wave.Sched = SchedKind::Wave;
     Wave.Jobs = 1;
     Wave.CollectRuns = true;
-    SearchResult RW = searchWith(C, Wave);
+    SearchResult RW = waveWith(C, Wave);
 
     for (unsigned Workers : {16u, 32u}) {
       SearchOptions Steal = Wave;
-      Steal.Sched = SchedKind::Stealing;
       Steal.Jobs = Workers;
       for (int Round = 0; Round < 4; ++Round) {
         SearchResult RS = searchStealForced(C, Steal, Workers);
@@ -239,11 +240,9 @@ TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
-    Wave.Sched = SchedKind::Wave;
-    SearchResult RW = searchWith(C, Wave);
+    SearchResult RW = waveWith(C, Wave);
     for (unsigned Workers : {16u, 32u}) {
       SearchOptions Steal = Wave;
-      Steal.Sched = SchedKind::Stealing;
       for (int Round = 0; Round < 4; ++Round)
         expectSameVerdict(RW, searchStealForced(C, Steal, Workers), Source);
     }
@@ -260,10 +259,8 @@ TEST(Scheduler, TruncationAccountingMatchesWave) {
     ASSERT_TRUE(C->ok());
     SearchOptions Wave;
     Wave.MaxRuns = MaxRuns;
-    Wave.Sched = SchedKind::Wave;
     SearchOptions Steal = Wave;
-    Steal.Sched = SchedKind::Stealing;
-    SearchResult RW = searchWith(C, Wave);
+    SearchResult RW = waveWith(C, Wave);
     SearchResult RS = searchWith(C, Steal);
     EXPECT_EQ(RW.FrontierTruncated, RS.FrontierTruncated)
         << "budget " << MaxRuns;
@@ -283,7 +280,6 @@ TEST(Scheduler, RandomPolicyAndDeclarativeStyleStillWork) {
     MOpts.Order = Setup;
     SearchOptions SO;
     SO.MaxRuns = 64;
-    SO.Sched = SchedKind::Stealing;
     OrderSearch Search(C->ast(), MOpts, SO);
     SearchResult R = Search.run();
     EXPECT_TRUE(R.UbFound) << "order policy " << int(Setup);
@@ -292,7 +288,6 @@ TEST(Scheduler, RandomPolicyAndDeclarativeStyleStillWork) {
   Decl.Style = RuleStyle::Declarative;
   SearchOptions SO;
   SO.MaxRuns = 64;
-  SO.Sched = SchedKind::Stealing;
   OrderSearch Search(C->ast(), Decl, SO);
   SearchResult R = Search.run();
   EXPECT_TRUE(R.UbFound);
@@ -315,11 +310,10 @@ TEST(Scheduler, LruThrashFallsBackToReplay) {
   SearchResult RAmple = searchWith(C, Ample);
 
   for (unsigned Cap : {0u, 1u, 2u}) {
-    for (SchedKind Sched : {SchedKind::Wave, SchedKind::Stealing}) {
-      SearchOptions Tiny = Ample;
-      Tiny.SnapshotBudget = Cap;
-      Tiny.Sched = Sched;
-      SearchResult RTiny = searchWith(C, Tiny);
+    SearchOptions Tiny = Ample;
+    Tiny.SnapshotBudget = Cap;
+    for (const SearchResult &RTiny :
+         {waveWith(C, Tiny), searchWith(C, Tiny)}) {
       expectSameVerdict(RAmple, RTiny, "lru-thrash");
       EXPECT_EQ(RAmple.RunsExplored, RTiny.RunsExplored) << Cap;
       EXPECT_EQ(RAmple.DedupHits, RTiny.DedupHits) << Cap;
@@ -579,30 +573,6 @@ TEST(Scheduler, BatchedAggregationIsDeterministic) {
       }
     }
   }
-}
-
-TEST(Scheduler, BatchHonorsWaveSchedSelection) {
-  // --search-sched=wave must not be silently dropped in batch mode:
-  // the wave reference path (sequential runSource per unit) runs, and
-  // its observable outcomes match the stealing batch.
-  std::vector<BatchInput> Inputs = {{Corpus[0], "w0.c"}, {Corpus[4], "w1.c"}};
-  AnalysisRequest Steal =
-      AnalysisRequest::Builder().searchRuns(64).buildOrDie();
-  AnalysisRequest Wave = AnalysisRequest::Builder()
-                             .searchRuns(64)
-                             .sched(SchedKind::Wave)
-                             .buildOrDie();
-  BatchResult RS = Driver(Steal).runBatch(Inputs);
-  BatchResult RW = Driver(Wave).runBatch(Inputs);
-  ASSERT_EQ(RW.Outcomes.size(), RS.Outcomes.size());
-  for (size_t I = 0; I < RS.Outcomes.size(); ++I) {
-    EXPECT_EQ(RW.Outcomes[I].anyUb(), RS.Outcomes[I].anyUb()) << I;
-    EXPECT_EQ(RW.Outcomes[I].SearchWitness, RS.Outcomes[I].SearchWitness)
-        << I;
-    EXPECT_EQ(RW.Outcomes[I].Output, RS.Outcomes[I].Output) << I;
-    EXPECT_EQ(RW.Outcomes[I].ExitCode, RS.Outcomes[I].ExitCode) << I;
-  }
-  EXPECT_EQ(RW.Stats.Steals, 0u) << "the wave path must not steal";
 }
 
 TEST(Scheduler, CountersSurfaceThroughDriver) {

@@ -4,17 +4,18 @@
 //
 // The fork engine (core/Search.h: children resume from configuration
 // snapshots captured at their choice points) must be observationally
-// identical to forced prefix replay: same decision traces, same
-// fingerprint streams, same witnesses, at any job count. This suite
-// asserts that equivalence on the seed UB-sequence programs, plus the
-// foundations it rests on: incremental fingerprints equal full-state
-// rehashes at every choice point, and the visited-set key does not
-// alias structured (depth, fingerprint) pairs.
+// identical to forced prefix replay (SnapshotBudget = 0): same decision
+// traces, same fingerprint streams, same witnesses, at any job count.
+// This suite asserts that equivalence on the seed UB-sequence programs,
+// plus the foundations it rests on: incremental fingerprints equal
+// full-state rehashes at every choice point, and the visited-set key
+// does not alias structured (depth, fingerprint) pairs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Search.h"
 #include "driver/Driver.h"
+#include "reference/WaveSearch.h"
 
 #include <gtest/gtest.h>
 
@@ -82,10 +83,9 @@ TEST(ForkSearch, EquivalentToReplayAtJobs1) {
     SearchOptions Fork;
     Fork.MaxRuns = 256;
     Fork.Jobs = 1;
-    Fork.UseSnapshots = true;
     Fork.CollectRuns = true;
     SearchOptions Replay = Fork;
-    Replay.UseSnapshots = false;
+    Replay.SnapshotBudget = 0;
 
     SearchResult RF = searchWith(C, Fork);
     SearchResult RR = searchWith(C, Replay);
@@ -123,9 +123,8 @@ TEST(ForkSearch, EquivalentToReplayAtJobs4) {
     SearchOptions Fork;
     Fork.MaxRuns = 256;
     Fork.Jobs = 4;
-    Fork.UseSnapshots = true;
     SearchOptions Replay = Fork;
-    Replay.UseSnapshots = false;
+    Replay.SnapshotBudget = 0;
 
     SearchResult RF0 = searchWith(C, Fork);
     for (int Round = 0; Round < 3; ++Round) {
@@ -157,7 +156,6 @@ TEST(ForkSearch, SnapshotBudgetZeroFallsBackToReplay) {
     ASSERT_TRUE(C->ok());
     SearchOptions Capped;
     Capped.MaxRuns = 256;
-    Capped.UseSnapshots = true;
     Capped.SnapshotBudget = 0; // every capture is declined
     SearchOptions Free = Capped;
     Free.SnapshotBudget = 1024;
@@ -229,22 +227,21 @@ TEST(ForkSearch, IncrementalFingerprintEqualsFullRehash) {
 
 TEST(ForkSearch, FullRehashSearchMatchesIncremental) {
   // End-to-end version of the same equivalence: a search whose dedup
-  // keys come from full rehashes must make the identical decisions —
-  // runs, hits, fingerprint streams — as one using the incremental
-  // path.
+  // keys come from full rehashes (the reference wave engine's
+  // full-rehash mode) must make the identical decisions — runs, hits,
+  // fingerprint streams — as the scheduler's incremental path.
   for (const char *Source : {Corpus[0], Corpus[5], Corpus[7]}) {
     Driver Drv;
     Driver::Compiled C = Drv.compile(Source, "rehash.c");
     ASSERT_TRUE(C->ok());
-    SearchOptions Incr;
-    Incr.MaxRuns = 256;
-    Incr.Jobs = 1;
-    Incr.CollectRuns = true;
-    SearchOptions Full = Incr;
-    Full.FullRehash = true;
+    SearchOptions SO;
+    SO.MaxRuns = 256;
+    SO.Jobs = 1;
+    SO.CollectRuns = true;
 
-    SearchResult RI = searchWith(C, Incr);
-    SearchResult RO = searchWith(C, Full);
+    SearchResult RI = searchWith(C, SO);
+    SearchResult RO = reference::waveSearch(C->ast(), MachineOptions(), SO,
+                                            /*FullRehash=*/true);
     expectSameVerdict(RI, RO, Source);
     EXPECT_EQ(RI.DedupHits, RO.DedupHits) << Source;
     ASSERT_EQ(RI.Runs.size(), RO.Runs.size()) << Source;

@@ -312,8 +312,6 @@ TEST(ServeProtocol, RequestRoundtripsAndRevalidates) {
       .searchRuns(32)
       .searchJobs(3)
       .dedup(false)
-      .snapshots(false)
-      .sched(SchedKind::Wave)
       .staticAnalyze(StaticAnalysisMode::On);
   auto Built = B.build();
   ASSERT_TRUE(Built.ok());
@@ -333,8 +331,6 @@ TEST(ServeProtocol, RequestRoundtripsAndRevalidates) {
   EXPECT_EQ(Back.searchRuns(), 32u);
   EXPECT_EQ(Back.searchJobs(), 3u);
   EXPECT_FALSE(Back.searchDedup());
-  EXPECT_FALSE(Back.searchSnapshots());
-  EXPECT_EQ(Back.searchSched(), SchedKind::Wave);
 
   // Parsing re-validates through the Builder: a daemon cannot be
   // talked into a configuration local kcc would reject.
@@ -484,6 +480,35 @@ TEST(ServeProtocol, StatsDecoderIgnoresRetiredSharedHitsField) {
   // Re-encoding never emits the retired key.
   EXPECT_EQ(serializeStats(P, M, T, R).find("snapshot_shared_hits"),
             std::string::npos);
+}
+
+TEST(ServeProtocol, RequestParserIgnoresRetiredSchedAndSnapshotsFields) {
+  // Clients built before the wave scheduler and forced replay left the
+  // request surface still send "sched" and "snapshots"; the parser
+  // accepts them — whatever their value — and yields exactly the
+  // request a body without them describes.
+  auto parse = [](const std::string &Body) {
+    JsonValue V;
+    std::string Err;
+    EXPECT_TRUE(JsonValue::parse(Body, V, Err)) << Err;
+    AnalysisRequest R;
+    EXPECT_TRUE(parseRequest(V, R, Err)) << Body << ": " << Err;
+    return serializeRequest(R);
+  };
+  const std::string Plain = parse("{\"search_runs\":16,\"dedup\":false}");
+  EXPECT_EQ(parse("{\"sched\":\"wave\",\"snapshots\":false,"
+                  "\"search_runs\":16,\"dedup\":false}"),
+            Plain);
+  EXPECT_EQ(parse("{\"sched\":\"steal\",\"snapshots\":true,"
+                  "\"search_runs\":16,\"dedup\":false}"),
+            Plain);
+  EXPECT_EQ(parse("{\"sched\":\"warp\",\"search_runs\":16,"
+                  "\"dedup\":false}"),
+            Plain)
+      << "a retired field is ignored, not validated";
+  // Re-encoding never emits the retired keys.
+  EXPECT_EQ(Plain.find("\"sched\""), std::string::npos);
+  EXPECT_EQ(Plain.find("\"snapshots\""), std::string::npos);
 }
 
 TEST(ServeProtocol, FramingSplitsAndCoalesces) {

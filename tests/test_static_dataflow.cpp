@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "reference/WaveSearch.h"
 
 #include "static/Cfg.h"
 
@@ -446,18 +447,10 @@ const char *DeterminismSource =
     "}";
 
 TEST(FlowDeterminism, IdenticalAcrossSchedulers) {
+  AnalysisRequest Req = AnalysisRequest::Builder().searchRuns(8).buildOrDie();
   DriverOutcome Wave =
-      Driver(AnalysisRequest::Builder()
-                 .searchRuns(8)
-                 .sched(SchedKind::Wave)
-                 .buildOrDie())
-          .runSource(DeterminismSource);
-  DriverOutcome Steal =
-      Driver(AnalysisRequest::Builder()
-                 .searchRuns(8)
-                 .sched(SchedKind::Stealing)
-                 .buildOrDie())
-          .runSource(DeterminismSource);
+      reference::waveBatch(Req, {{DeterminismSource, "test.c"}}).front();
+  DriverOutcome Steal = Driver(Req).runSource(DeterminismSource);
   ASSERT_TRUE(Wave.CompileOk && Steal.CompileOk);
   EXPECT_FALSE(renderStatic(Wave).empty());
   EXPECT_EQ(renderStatic(Wave), renderStatic(Steal));

@@ -27,6 +27,7 @@
 #include "driver/Driver.h"
 #include "frontend/Frontend.h"
 #include "frontend/TranslationCache.h"
+#include "reference/WaveSearch.h"
 
 #include <gtest/gtest.h>
 
@@ -344,10 +345,10 @@ TEST(TranslationCacheEngine, DuplicateHeavyBatchMatchesFreshCompiles) {
 
 TEST(TranslationCacheEngine, WaveAndStealAgreeOnOrdersExplored) {
   // The former wave-inline path double-counted the default order (the
-  // documented "+1 divergence"). Both schedulers now report identical
-  // outcomes including OrdersExplored, for every verdict shape: UB
-  // found by search, UB in the default order, clean-exhaustive, and
-  // clean-truncated.
+  // documented "+1 divergence"). The engine and the reference wave
+  // engine report identical outcomes including OrdersExplored, for
+  // every verdict shape: UB found by search, UB in the default order,
+  // clean-exhaustive, and clean-truncated.
   const std::vector<BatchInput> Corpus = {
       {PaperSource, "paper.c"},
       {"int main(void) { return 1 / 0; }\n", "default_ub.c"},
@@ -360,17 +361,13 @@ TEST(TranslationCacheEngine, WaveAndStealAgreeOnOrdersExplored) {
        "commute.c"},
   };
   for (unsigned Runs : {1u, 2u, 64u}) {
-    AnalysisRequest Steal =
+    AnalysisRequest Req =
         AnalysisRequest::Builder().searchRuns(Runs).buildOrDie();
-    AnalysisRequest Wave = AnalysisRequest::Builder()
-                               .searchRuns(Runs)
-                               .sched(SchedKind::Wave)
-                               .buildOrDie();
-    BatchResult RS = Driver(Steal).runBatch(Corpus);
-    BatchResult RW = Driver(Wave).runBatch(Corpus);
-    ASSERT_EQ(RS.Outcomes.size(), RW.Outcomes.size());
+    BatchResult RS = Driver(Req).runBatch(Corpus);
+    std::vector<DriverOutcome> RW = reference::waveBatch(Req, Corpus);
+    ASSERT_EQ(RS.Outcomes.size(), RW.size());
     for (size_t I = 0; I < RS.Outcomes.size(); ++I)
-      expectIdentical(RS.Outcomes[I], RW.Outcomes[I],
+      expectIdentical(RS.Outcomes[I], RW[I],
                       Corpus[I].Name + " runs=" + std::to_string(Runs));
   }
 }

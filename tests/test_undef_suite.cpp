@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "TestUtil.h"
 #include "suites/UndefSuite.h"
 #include "ub/Catalog.h"
 
@@ -93,6 +93,45 @@ TEST(UndefSuite, KccDetectsNamedStaticBehaviors) {
     DriverOutcome O = Drv.runSource(Test.Bad, Test.Name + "_bad.c");
     EXPECT_TRUE(O.anyUb()) << Test.Name << " not flagged";
   }
+}
+
+TEST(UndefSuite, ExternWithoutDefinitionReportsRow161) {
+  // ub057_incomplete_array's bad half reads an extern array the unit
+  // never defines. That run used to end Internal with no report, which
+  // kcc --json rendered as a "clean" verdict with exit 0; it must report
+  // catalog row 161 (6.9:5) at the use instead.
+  const TestCase *Test = nullptr;
+  for (const TestCase &T : undefSuite())
+    if (T.Name == "ub057_incomplete_array")
+      Test = &T;
+  ASSERT_NE(Test, nullptr);
+  DriverOutcome O = runKcc(Test->Bad, 8);
+  ASSERT_TRUE(O.CompileOk) << O.CompileErrors;
+  EXPECT_EQ(O.Status, RunStatus::UbDetected);
+  ASSERT_EQ(O.DynamicUb.size(), 1u) << O.renderReport();
+  EXPECT_EQ(ubCode(O.DynamicUb[0].Kind), 161u);
+  EXPECT_EQ(O.DynamicUb[0].Loc.Line, 2u) << "reported at the use";
+  expectClean(Test->Good, 0, 8);
+
+  // Block-scope externs and taking the address are uses too.
+  expectUb("int main(void) { extern int y; return y; }\n",
+           static_cast<UbKind>(161));
+  expectUb("extern int x;\nint main(void) { return &x != 0; }\n",
+           static_cast<UbKind>(161));
+}
+
+TEST(UndefSuite, ExternDeclarationsDenoteTheUnitsDefinition) {
+  // Not a false positive of the above: an extern declaration of a name
+  // the unit defines, before or after it, at file or block scope,
+  // designates that one object.
+  expectClean("extern int z;\n"
+              "int f(void) { return z; }\n"
+              "int z = 3;\n"
+              "int main(void) { return f() - 3; }\n");
+  expectClean("int y = 2;\n"
+              "int main(void) { extern int y; y = y + 1; return y - 3; }\n");
+  expectClean("extern int table[];\n"
+              "int main(void) { return sizeof(int) - 4; }\n");
 }
 
 } // namespace

@@ -2,8 +2,9 @@
 # cundef-kcc-v1 document on stdout (docs/JSON_OUTPUT.md documents the
 # schema) with nothing else around it, embed program output instead of
 # passing it through, suppress the human report on stderr, and keep the
-# exit-code contract (139 undefined / 1 compile failure / program exit
-# code otherwise). Run via ctest (test name: kcc_json_cli).
+# exit-code contract (139 undefined / 1 compile failure / 4 internal
+# error / program exit code otherwise). Run via ctest (test name:
+# kcc_json_cli).
 if(NOT DEFINED KCC OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "usage: cmake -DKCC=<kcc> -DWORKDIR=<dir> -P CheckJsonCli.cmake")
 endif()
@@ -103,6 +104,26 @@ if(NOT OUT MATCHES "\"verdict\": \"compile-error\"")
 endif()
 if(NOT OUT MATCHES "\"compile_errors\": \"[^\"]")
   message(FATAL_ERROR "kcc --json (bad): compile diagnostics not embedded: ${OUT}")
+endif()
+
+# A program the machine cannot finish (no main) has no verdict: it must
+# read "internal-error" and exit 4, never "clean" and 0.
+set(NOMAIN_C ${WORKDIR}/json_nomain.c)
+file(WRITE ${NOMAIN_C} "int y;\n")
+execute_process(
+  COMMAND ${KCC} --json ${NOMAIN_C}
+  RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 4)
+  message(FATAL_ERROR "kcc --json (no main): expected exit 4, got ${RC}")
+endif()
+if(NOT OUT MATCHES "\"verdict\": \"internal-error\"" OR NOT OUT MATCHES "\"exit_code\": 4")
+  message(FATAL_ERROR "kcc --json (no main): missing internal-error verdict: ${OUT}")
+endif()
+execute_process(
+  COMMAND ${KCC} ${NOMAIN_C}
+  RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 4 OR NOT ERR MATCHES "Internal error")
+  message(FATAL_ERROR "kcc (no main): expected exit 4 and a report, got ${RC}: ${ERR}")
 endif()
 
 # Batch: one document, both programs, pool counters.

@@ -2,9 +2,10 @@
 # Drives the remote-mode contract end to end: a live kcc-serve daemon
 # on a Unix socket must make `kcc --remote=unix:PATH ...` byte-identical
 # to a local run on stdout and identical on exit codes — single-file UB
-# (exit 139), single-file clean (the program's own exit code),
-# multi-file --batch-stats, and --json with volatile timing/counter
-# fields masked. Finally SIGTERM must drain the daemon to exit 0.
+# (exit 139), single-file clean (the program's own exit code), a
+# program the machine cannot finish (exit 4), multi-file --batch-stats,
+# and --json with volatile timing/counter fields masked. Finally
+# SIGTERM must drain the daemon to exit 0.
 #
 # Run via ctest (test name: kcc_remote_cli):
 #   check_serve_cli.sh <kcc> <kcc-serve> <workdir>
@@ -53,6 +54,9 @@ EOF
 cat > "$WORKDIR/clean2.c" <<'EOF'
 int main(void) { return 0; }
 EOF
+cat > "$WORKDIR/nomain.c" <<'EOF'
+int y;
+EOF
 
 # Runs the same kcc invocation locally and through the daemon; stdout
 # must match byte for byte and the exit codes must agree (the
@@ -73,6 +77,10 @@ run_pair "single-file UB"    --search=16 "$WORKDIR/ub.c"
 run_pair "single-file clean" --search=8 "$WORKDIR/clean.c"
 run_pair "multi-file batch"  --search=8 --batch-stats \
   "$WORKDIR/clean.c" "$WORKDIR/clean2.c" "$WORKDIR/ub.c"
+run_pair "internal error"    --search=8 "$WORKDIR/nomain.c"
+RC=0
+"$KCC" --remote=unix:"$SOCK" --search=8 "$WORKDIR/nomain.c" 2>/dev/null || RC=$?
+[ "$RC" = 4 ] || fail "internal error: remote exit $RC (expected 4)"
 
 # --json embeds wall-clock timings and scheduler counters that are
 # legitimately nondeterministic (and, remotely, engine-lifetime
@@ -80,9 +88,9 @@ run_pair "multi-file batch"  --search=8 --batch-stats \
 # everything else — findings, outcomes, program output, exit codes.
 MASK='s/"(wall_ms|wall_micros|frontend_micros|search_micros|steals|peak_frontier|runs_executed|speculative_waste|provisional_hits|provisional_requeues|commit_lag_peak|snapshot_takes|snapshot_hits|snapshot_slot_steals|snapshot_shards|snapshot_evictions|workers|lookups|hits|misses|inflight_joins|evictions|abandoned|cache_hit|result_cache_hit|runs_committed)": [^,}]+/"\1": X/g'
 LRC=0; RRC=0
-"$KCC" --json --search=16 "$WORKDIR/ub.c" "$WORKDIR/clean.c" \
+"$KCC" --json --search=16 "$WORKDIR/ub.c" "$WORKDIR/clean.c" "$WORKDIR/nomain.c" \
   >"$WORKDIR/local.json" 2>/dev/null || LRC=$?
-"$KCC" --json --search=16 --remote=unix:"$SOCK" "$WORKDIR/ub.c" "$WORKDIR/clean.c" \
+"$KCC" --json --search=16 --remote=unix:"$SOCK" "$WORKDIR/ub.c" "$WORKDIR/clean.c" "$WORKDIR/nomain.c" \
   >"$WORKDIR/remote.json" 2>/dev/null || RRC=$?
 [ "$LRC" = "$RRC" ] || fail "--json: exit codes differ (local $LRC, remote $RRC)"
 sed -E "$MASK" "$WORKDIR/local.json" >"$WORKDIR/local.masked"

@@ -41,21 +41,19 @@ using ByteLoc = std::pair<uint32_t, int64_t>;
 /// next to the value hashing it depends on).
 uint64_t kItemDigest(const KItem &Item);
 
-/// The k cell: a stack of KItems plus, when tracking is enabled, a
-/// parallel stack of prefix digests so that the whole cell's digest is
-/// the top entry — O(1) at fingerprint time, O(one item) per push.
-/// Tracking is enabled by machines that fingerprint (the search);
-/// ordinary runs skip the per-push hashing entirely.
+/// The k cell: a stack of KItems plus a parallel stack of prefix
+/// digests, filled lazily. Digests[I] is the digest of Items[0..I]; only
+/// the first Digests.size() entries are valid. push_back hashes nothing,
+/// pop_back truncates the valid prefix, and digest() extends it to the
+/// whole stack when a fingerprint is taken. An item is therefore hashed
+/// once, and only if it is still on the stack at a choice point; runs
+/// that never fingerprint never hash. Copies carry the valid prefix.
 class KCell {
 public:
-  void push_back(KItem Item) {
-    if (Tracking)
-      Digests.push_back(combine(digest(), kItemDigest(Item)));
-    Items.push_back(std::move(Item));
-  }
+  void push_back(KItem Item) { Items.push_back(std::move(Item)); }
   void pop_back() {
     Items.pop_back();
-    if (Tracking)
+    if (Digests.size() > Items.size())
       Digests.pop_back();
   }
   /// Moves the top item out and pops it (the step loop's idiom; a
@@ -70,27 +68,21 @@ public:
   size_t size() const { return Items.size(); }
   const std::vector<KItem> &items() const { return Items; }
 
-  /// Digest of the whole stack (valid whenever Tracking).
-  uint64_t digest() const { return Digests.empty() ? Seed : Digests.back(); }
-  /// Reference recomputation from scratch; always equals digest() while
-  /// tracking (tested), and is the fallback when not.
+  /// Digest of the whole stack: hashes only the items pushed since the
+  /// valid prefix was last extended.
+  uint64_t digest() const {
+    for (size_t I = Digests.size(); I < Items.size(); ++I)
+      Digests.push_back(
+          combine(I ? Digests.back() : Seed, kItemDigest(Items[I])));
+    return Digests.empty() ? Seed : Digests.back();
+  }
+  /// Reference recomputation from scratch; always equals digest()
+  /// (tested).
   uint64_t computeDigest() const {
     uint64_t D = Seed;
     for (const KItem &Item : Items)
       D = combine(D, kItemDigest(Item));
     return D;
-  }
-  bool tracking() const { return Tracking; }
-  /// Turns on incremental digests, backfilling for any current items.
-  void enableTracking() {
-    if (Tracking)
-      return;
-    Tracking = true;
-    Digests.clear();
-    Digests.reserve(Items.size());
-    uint64_t D = Seed;
-    for (const KItem &Item : Items)
-      Digests.push_back(D = combine(D, kItemDigest(Item)));
   }
 
 private:
@@ -99,8 +91,7 @@ private:
     return mix64(Prefix * 0x100000001b3ull ^ Item);
   }
   std::vector<KItem> Items;
-  std::vector<uint64_t> Digests;
-  bool Tracking = false;
+  mutable std::vector<uint64_t> Digests;
 };
 
 /// A set of byte locations with an incrementally maintained multiset

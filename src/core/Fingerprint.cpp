@@ -11,7 +11,7 @@
 // is a stable identity because every machine of one search shares the
 // same AstContext.
 //
-// The digest is structured as an FNV-1a fold over per-cell component
+// The digest is a Hasher (support/Hash.h) fold over per-cell component
 // digests. Components that change on every step — the k stack, the
 // sequencing sets, memory objects, frames — maintain their digests
 // incrementally (prefix stacks, multiset sums, dirty-tracked caches),
@@ -31,38 +31,39 @@ using namespace cundef;
 
 namespace {
 
-void hashValue(Fnv1a &H, const Value &V) {
+void hashPtr(Hasher &H, const SymPointer &P) {
+  H.u32(P.Base);
+  H.i64(P.Offset);
+  H.u8(P.FromInteger);
+  H.u64(P.RawInt);
+}
+
+void hashByte(Hasher &H, const Byte &B) {
+  H.u8(static_cast<uint8_t>(B.K));
+  H.u8(B.Value);
+  hashPtr(H, B.Ptr);
+  H.u8(B.FragIndex);
+  H.u8(B.FragCount);
+}
+
+void hashValue(Hasher &H, const Value &V) {
   H.u8(static_cast<uint8_t>(V.K));
   H.ptr(V.Ty);
   H.u64(V.Bits);
   H.f64(V.F);
-  H.u32(V.Ptr.Base);
-  H.i64(V.Ptr.Offset);
-  H.u8(V.Ptr.FromInteger);
-  H.u64(V.Ptr.RawInt);
+  hashPtr(H, V.Ptr);
   H.u8(V.LvQuals);
-  H.u8(static_cast<uint8_t>(V.Payload.K));
-  H.u8(V.Payload.Value);
-  H.u32(V.Payload.Ptr.Base);
-  H.i64(V.Payload.Ptr.Offset);
-  H.u8(V.Payload.FragIndex);
-  H.u8(V.Payload.FragCount);
+  hashByte(H, V.Payload);
   H.u64(V.AggBytes.size());
-  for (const Byte &B : V.AggBytes) {
-    H.u8(static_cast<uint8_t>(B.K));
-    H.u8(B.Value);
-    H.u32(B.Ptr.Base);
-    H.i64(B.Ptr.Offset);
-    H.u8(B.FragIndex);
-    H.u8(B.FragCount);
-  }
+  for (const Byte &B : V.AggBytes)
+    hashByte(H, B);
   H.u8(V.MissingReturn);
   H.i64(V.SubStart);
   H.u64(V.SubLen);
 }
 
 uint64_t frameDigest(const Frame &F) {
-  Fnv1a H;
+  Hasher H;
   H.ptr(F.Fn);
   H.u64(F.Env.size());
   for (const auto &[Decl, Obj] : F.Env) {
@@ -82,7 +83,7 @@ uint64_t frameDigest(const Frame &F) {
 /// number of globals / functions / literals / live heap regions, not by
 /// execution length). Shared by both fingerprint paths.
 uint64_t smallCellsDigest(const Configuration &C) {
-  Fnv1a H;
+  Hasher H;
   H.u64(C.Values.size());
   for (const Value &V : C.Values)
     hashValue(H, V);
@@ -117,8 +118,8 @@ uint64_t smallCellsDigest(const Configuration &C) {
 }
 
 uint64_t fingerprintWith(const Configuration &C, bool Full) {
-  Fnv1a H;
-  H.u64(Full || !C.K.tracking() ? C.K.computeDigest() : C.K.digest());
+  Hasher H;
+  H.u64(Full ? C.K.computeDigest() : C.K.digest());
   H.u64(Full ? C.LocsWrittenTo.computeDigest() : C.LocsWrittenTo.digest());
   H.u64(Full ? C.NotWritable.computeDigest() : C.NotWritable.digest());
   C.Mem.hashInto(H, Full);
@@ -143,7 +144,7 @@ uint64_t fingerprintWith(const Configuration &C, bool Full) {
 } // namespace
 
 uint64_t cundef::kItemDigest(const KItem &Item) {
-  Fnv1a H;
+  Hasher H;
   H.u8(static_cast<uint8_t>(Item.K));
   H.ptr(Item.E);
   H.ptr(Item.S);

@@ -303,13 +303,31 @@ void Machine::initStaticStorage() {
   for (const FunctionDecl *F : Ctx.TU.Functions)
     if (F->Body)
       collectStaticLocals(F->Body, Statics, Externs);
-  // Globals first, in declaration order.
+  // Every file-scope definition of one name, tentative or initialized,
+  // denotes one object (C11 6.2.2p2, 6.9.2p2). Its type comes from the
+  // initialized definition, else from the first.
+  auto IsDefinition = [](const VarDecl *G) {
+    return G->Storage != StorageClass::Extern || G->Init;
+  };
+  std::map<Symbol, const VarDecl *> Typing;
   for (const VarDecl *G : Ctx.TU.Globals) {
-    if (G->Storage == StorageClass::Extern && !G->Init) {
+    if (!IsDefinition(G))
+      continue;
+    auto [It, New] = Typing.emplace(G->Name, G);
+    if (!New && G->Init && !It->second->Init)
+      It->second = G;
+  }
+  // Globals first, in declaration order: the first definition of a name
+  // creates its object.
+  std::map<Symbol, uint32_t> Objects;
+  for (const VarDecl *G : Ctx.TU.Globals) {
+    if (!IsDefinition(G)) {
       Externs.push_back(G); // declares, does not define
       continue;
     }
-    uint32_t Id = createObjectForDecl(G, StorageKind::Global);
+    uint32_t &Id = Objects[G->Name];
+    if (!Id)
+      Id = createObjectForDecl(Typing[G->Name], StorageKind::Global);
     Conf.GlobalEnv[G->DeclId] = Id;
   }
   // Static locals.
@@ -321,13 +339,11 @@ void Machine::initStaticStorage() {
   // object the unit defines under that name (C11 6.2.2p2/p4). A name
   // the unit never defines stays unbound: using it reports catalog row
   // 161 (RulesExpr.cpp).
-  for (const VarDecl *E : Externs)
-    for (const VarDecl *G : Ctx.TU.Globals)
-      if (G->Name == E->Name &&
-          (G->Storage != StorageClass::Extern || G->Init)) {
-        Conf.GlobalEnv[E->DeclId] = Conf.GlobalEnv[G->DeclId];
-        break;
-      }
+  for (const VarDecl *E : Externs) {
+    auto It = Objects.find(E->Name);
+    if (It != Objects.end())
+      Conf.GlobalEnv[E->DeclId] = It->second;
+  }
   // Initializers run as ordinary (constant) stores before main.
   // Push in reverse so the first global initializes first.
   std::vector<const VarDecl *> WithInit;

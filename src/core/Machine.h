@@ -69,7 +69,7 @@ struct MachineOptions {
   RuleStyle Style = RuleStyle::SideConditions;
 };
 
-/// Stable FNV-1a digest over every field of \p M. Two MachineOptions
+/// Stable digest over every field of \p M. Two MachineOptions
 /// with equal fingerprints drive byte-identical machines over the same
 /// AST, so the digest is a content address for the semantics half of a
 /// search configuration (the result cache in driver/ResultCache.h
@@ -77,7 +77,7 @@ struct MachineOptions {
 /// field participates — adding a MachineOptions member without hashing
 /// it here would silently alias distinct configurations.
 inline uint64_t machineOptionsFingerprint(const MachineOptions &M) {
-  Fnv1a H;
+  Hasher H;
   H.u8(M.Strict);
   H.u8(M.TrackSequencing);
   H.u8(M.TrackConst);
@@ -91,7 +91,7 @@ inline uint64_t machineOptionsFingerprint(const MachineOptions &M) {
   H.u32(M.Seed);
   H.u32(M.MaxCallDepth);
   H.u8(static_cast<uint8_t>(M.Style));
-  return mix64(H.digest());
+  return H.digest();
 }
 
 /// A resumable point-in-time copy of a machine's run state: the
@@ -152,10 +152,7 @@ public:
   /// abandon interleavings whose state another interleaving already
   /// reached.
   using ChoiceHook = std::function<bool(Machine &M)>;
-  void setChoiceHook(ChoiceHook Hook) {
-    OnChoice = std::move(Hook);
-    Conf.K.enableTracking(); // a fingerprint consumer exists
-  }
+  void setChoiceHook(ChoiceHook Hook) { OnChoice = std::move(Hook); }
 
   /// Called immediately before a flippable (arity >= 2) choice point,
   /// while the configuration is still the pre-choice state. The hook
@@ -166,7 +163,6 @@ public:
   using BeforeChoiceHook = std::function<void(Machine &M, unsigned Arity)>;
   void setBeforeChoiceHook(BeforeChoiceHook Hook) {
     OnBeforeChoice = std::move(Hook);
-    Conf.K.enableTracking();
   }
 
   /// Valid only inside a BeforeChoiceHook invocation: a snapshot that,
@@ -193,7 +189,7 @@ public:
   /// stream (the two together determine all future behavior).
   /// Incremental: O(state touched since the last fingerprint).
   uint64_t configFingerprint() const {
-    Fnv1a H;
+    Hasher H;
     H.u64(Conf.fingerprint());
     H.u32(Chooser.rngState());
     return H.digest();
@@ -204,7 +200,7 @@ public:
   /// incremental path is tested against, and as bench_search's
   /// PR-1-style full-rehash baseline.
   uint64_t configFingerprintFull() const {
-    Fnv1a H;
+    Hasher H;
     H.u64(Conf.fingerprintFull());
     H.u32(Chooser.rngState());
     return H.digest();

@@ -93,7 +93,7 @@ struct SearchOptions {
   bool CollectRuns = false;
 };
 
-/// Stable FNV-1a digest over the *outcome-affecting* SearchOptions
+/// Stable digest over the *outcome-affecting* SearchOptions
 /// fields: MaxRuns and Dedup change what the search explores. Jobs,
 /// SnapshotBudget, and CollectRuns shape only wall-clock and test
 /// instrumentation (committed outcomes are independent of them by the
@@ -101,10 +101,10 @@ struct SearchOptions {
 /// excluded: a 4-job and an 8-job search of the same program share one
 /// cache entry.
 inline uint64_t searchOptionsFingerprint(const SearchOptions &S) {
-  Fnv1a H;
+  Hasher H;
   H.u32(S.MaxRuns);
   H.u8(S.Dedup);
-  return mix64(H.digest());
+  return H.digest();
 }
 
 /// One explored run, recorded when SearchOptions::CollectRuns is set.

@@ -281,10 +281,10 @@ struct AnalysisEngine::Impl {
     SearchOptions SO;
     SO.MaxRuns = Req.searchRuns();
     SO.Dedup = Req.searchDedup();
-    Fnv1a H;
+    Hasher H;
     H.u64(searchOptionsFingerprint(SO));
     H.u8(static_cast<uint8_t>(Req.staticAnalyze()));
-    K.SearchFp = mix64(H.digest());
+    K.SearchFp = H.digest();
     return K;
   }
 
@@ -322,8 +322,8 @@ struct AnalysisEngine::Impl {
       // pool thread — that would terminate the whole service and
       // strand the job's future. Fail this job, keep serving.
       DriverOutcome O;
-      O.CompileErrors =
-          std::string("internal error during translation: ") + E.what();
+      O.CompileErrors = std::string("internal error during translation: ") +
+                        E.what() + "\n";
       O.FrontendMicros = microsSince(FeStart);
       finishJob(St, std::move(O), microsSince(St.SubmitTime));
       return;

@@ -118,6 +118,13 @@ struct DriverOutcome {
   std::vector<uint8_t> SearchWitness;
 
   bool anyUb() const { return !StaticUb.empty() || !DynamicUb.empty(); }
+  /// The program compiled but the machine could not finish its run
+  /// (RunStatus::Internal) and nothing undefined was found: there is no
+  /// verdict, and it must never read as clean.
+  bool internalError() const {
+    return CompileOk && !StaticOnly && !anyUb() &&
+           Status == RunStatus::Internal;
+  }
   /// Renders every finding in the paper's kcc error format.
   std::string renderReport() const;
 };

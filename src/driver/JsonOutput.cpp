@@ -85,6 +85,7 @@ void appendProgram(std::string &Out, const JsonProgram &P, bool Last) {
   const DriverOutcome &O = *P.Outcome;
   const char *Verdict = !O.CompileOk && !O.anyUb() ? "compile-error"
                         : O.anyUb()                ? "undefined"
+                        : O.internalError()        ? "internal-error"
                                                    : "clean";
   Out += "    {\n";
   Out += strFormat("      \"name\": \"%s\",\n", jsonEscape(P.Name).c_str());

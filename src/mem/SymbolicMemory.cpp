@@ -39,7 +39,7 @@ uint64_t byteItemHash(uint32_t Id, uint64_t Offset, const Byte &B) {
 
 /// Metadata contribution of an object (everything but its bytes).
 uint64_t metaHash(const MemObject &Obj) {
-  Fnv1a H;
+  Hasher H;
   H.u32(Obj.Id);
   H.u8(static_cast<uint8_t>(Obj.Storage));
   H.u8(static_cast<uint8_t>(Obj.State));
@@ -51,7 +51,7 @@ uint64_t metaHash(const MemObject &Obj) {
     H.u64(Obj.ConcreteAddr);
     H.ptr(Obj.Fn);
   }
-  return mix64(H.digest());
+  return H.digest();
 }
 
 } // namespace
@@ -95,7 +95,7 @@ uint64_t SymbolicMemory::assignAddress(StorageKind Storage, uint64_t Size) {
 
 uint32_t SymbolicMemory::create(StorageKind Storage, uint64_t Size,
                                 QualType DeclTy, Symbol Name) {
-  uint32_t Id = NextId++;
+  uint32_t Id = static_cast<uint32_t>(Objects.size() + 1);
   auto Obj = std::make_shared<MemObject>();
   Obj->Id = Id;
   Obj->Storage = Storage;
@@ -104,7 +104,7 @@ uint32_t SymbolicMemory::create(StorageKind Storage, uint64_t Size,
   Obj->Name = Name;
   Obj->ConcreteAddr = assignAddress(Storage, Size);
   Obj->Bytes = ByteStore(Size, Byte::unknown());
-  Objects.emplace(Id, std::move(Obj));
+  Objects.push_back(std::move(Obj));
   return Id;
 }
 
@@ -133,15 +133,14 @@ void SymbolicMemory::markFreed(uint32_t Id) {
 }
 
 const MemObject *SymbolicMemory::find(uint32_t Id) const {
-  auto It = Objects.find(Id);
-  return It == Objects.end() ? nullptr : It->second.get();
+  return Id - 1 < Objects.size() ? Objects[Id - 1].get() : nullptr;
 }
 
 MemObject *SymbolicMemory::mutate(uint32_t Id) {
-  auto It = Objects.find(Id);
-  if (It == Objects.end())
+  std::shared_ptr<MemObject> *Slot = slot(Id);
+  if (!Slot)
     return nullptr;
-  MemObject *Obj = owned(It->second);
+  MemObject *Obj = owned(*Slot);
   Obj->DigestValid = false;
   return Obj;
 }
@@ -174,7 +173,7 @@ MemStatus SymbolicMemory::writeByte(uint32_t Id, int64_t Offset,
   MemStatus Status = probe(Id, Offset, 1);
   if (Status != MemStatus::Ok)
     return Status;
-  MemObject *Obj = owned(Objects.find(Id)->second);
+  MemObject *Obj = owned(*slot(Id));
   Byte &Slot = Obj->Bytes.mut(static_cast<size_t>(Offset));
   // Keep the cached digest current by delta instead of invalidating:
   // the digest is a plain sum over per-byte item hashes, so one write
@@ -191,7 +190,7 @@ MemStatus SymbolicMemory::fill(uint32_t Id, int64_t Offset, uint64_t Len,
   MemStatus Status = probe(Id, Offset, Len);
   if (Status != MemStatus::Ok)
     return Status;
-  MemObject *Obj = owned(Objects.find(Id)->second);
+  MemObject *Obj = owned(*slot(Id));
   const uint64_t Begin = static_cast<uint64_t>(Offset);
   if (Obj->DigestValid)
     for (uint64_t I = Begin; I < Begin + Len; ++I)
@@ -206,10 +205,10 @@ uint32_t SymbolicMemory::findByAddress(uint64_t Addr,
   // Linear scan is acceptable: the permissive machine is used on small
   // generated tests, and correctness of the model matters more here
   // than lookup speed.
-  for (const auto &[Id, Obj] : Objects) {
+  for (const auto &Obj : Objects) {
     if (Addr >= Obj->ConcreteAddr && Addr < Obj->ConcreteAddr + Obj->Size) {
       OffsetOut = static_cast<int64_t>(Addr - Obj->ConcreteAddr);
-      return Id;
+      return Obj->Id;
     }
   }
   return 0;
@@ -217,7 +216,7 @@ uint32_t SymbolicMemory::findByAddress(uint64_t Addr,
 
 unsigned SymbolicMemory::countAlive(StorageKind Storage) const {
   unsigned Count = 0;
-  for (const auto &[Id, Obj] : Objects)
+  for (const auto &Obj : Objects)
     if (Obj->Storage == Storage && Obj->isAlive())
       ++Count;
   return Count;
@@ -232,8 +231,7 @@ uint64_t SymbolicMemory::computeDigest(const MemObject &Obj) {
   return Sum;
 }
 
-void SymbolicMemory::hashInto(Fnv1a &H, bool Full) const {
-  H.u32(NextId);
+void SymbolicMemory::hashInto(Hasher &H, bool Full) const {
   H.u64(GlobalCursor);
   H.u64(FunctionCursor);
   H.u64(LiteralCursor);
@@ -245,7 +243,7 @@ void SymbolicMemory::hashInto(Fnv1a &H, bool Full) const {
   // mutated. The Full path recomputes everything and must agree — the
   // equivalence is what makes the cache safe (tests/test_search_fork).
   uint64_t Sum = 0;
-  for (const auto &[Id, Obj] : Objects) {
+  for (const auto &Obj : Objects) {
     if (Full) {
       Sum += computeDigest(*Obj);
       continue;

@@ -9,7 +9,10 @@
 /// objects, exactly the paper's "memory is a map from base addresses to
 /// blocks of bytes; each base address represents the memory of a single
 /// object" (section 4.3.1). Objects keep a tombstone after their
-/// lifetime ends so dangling uses can be named precisely.
+/// lifetime ends so dangling uses can be named precisely. Since ids are
+/// handed out densely from 1 and never reused or erased, the map is a
+/// vector indexed by id - 1: lookups are O(1), and copying the cell
+/// copies one array of pointers.
 ///
 /// Every object additionally carries a *concrete* address. The strict
 /// machine never looks at it; the permissive machine (the substrate for
@@ -36,7 +39,6 @@
 #include "support/StringInterner.h"
 #include "types/Type.h"
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -128,8 +130,9 @@ public:
   /// objects still resolve -- exactly the danger being modelled.
   uint32_t findByAddress(uint64_t Addr, int64_t &OffsetOut) const;
 
-  /// All objects, for tools (leak reporting, statistics).
-  const std::map<uint32_t, std::shared_ptr<MemObject>> &objects() const {
+  /// All objects, for tools (leak reporting, statistics); the object
+  /// with id I is at index I - 1.
+  const std::vector<std::shared_ptr<MemObject>> &objects() const {
     return Objects;
   }
 
@@ -149,7 +152,7 @@ public:
   /// maintains them by delta. \p Full recomputes everything from
   /// scratch, bypassing the caches — the reference the incremental path
   /// is tested against.
-  void hashInto(Fnv1a &H, bool Full = false) const;
+  void hashInto(Hasher &H, bool Full = false) const;
 
 private:
   uint64_t assignAddress(StorageKind Storage, uint64_t Size);
@@ -157,9 +160,13 @@ private:
   static uint64_t computeDigest(const MemObject &Obj);
   /// Clones \p Slot's object if it is shared with a forked copy.
   static MemObject *owned(std::shared_ptr<MemObject> &Slot);
+  /// The table slot of \p Id, or null when the id was never allocated.
+  std::shared_ptr<MemObject> *slot(uint32_t Id) {
+    return Id - 1 < Objects.size() ? &Objects[Id - 1] : nullptr;
+  }
 
-  std::map<uint32_t, std::shared_ptr<MemObject>> Objects;
-  uint32_t NextId = 1;
+  /// Object id I lives at index I - 1; the next id is size() + 1.
+  std::vector<std::shared_ptr<MemObject>> Objects;
   // Concrete address cursors. The stack grows down, everything else up.
   uint64_t GlobalCursor = 0x00010000;
   uint64_t FunctionCursor = 0x01000000;

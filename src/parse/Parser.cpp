@@ -108,7 +108,20 @@ Type *Parser::lookupTag(Symbol Name) const {
 }
 
 bool Parser::parseTranslationUnit() {
-  while (!at(TokenKind::Eof))
+  // Hostile input must not make the parser spin or grow without bound:
+  // every external declaration consumes at least one token (recovery
+  // stops before a stray '}' at file scope), and a unit stops after a
+  // fixed number of errors.
+  constexpr unsigned MaxErrors = 100;
+  while (!at(TokenKind::Eof)) {
+    if (Diags.errorCount() >= MaxErrors) {
+      Diags.error(loc(), "too many errors; parsing stopped");
+      break;
+    }
+    const size_t Before = Pos;
     parseExternalDeclaration();
+    if (Pos == Before)
+      take();
+  }
   return !Diags.hasErrors();
 }

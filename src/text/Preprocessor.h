@@ -53,7 +53,7 @@ public:
   /// standard headers, noise next to one parse, and a cached value
   /// would need its own synchronization story.
   uint64_t fingerprint() const {
-    Fnv1a H;
+    Hasher H;
     H.u64(Files.size());
     for (const auto &[Name, Content] : Files) {
       H.str(Name);

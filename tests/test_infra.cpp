@@ -14,6 +14,9 @@
 #include "core/Machine.h"
 #include "driver/ToolRunner.h"
 #include "libc/Headers.h"
+#include "support/Hash.h"
+
+#include <set>
 
 using namespace cundef;
 
@@ -80,6 +83,31 @@ TEST(EvalOrder, SingleOperandHasNoAlternative) {
   Chooser.choose(1);
   ASSERT_EQ(Chooser.trace().size(), 1u);
   EXPECT_EQ(Chooser.trace()[0].second, 1) << "arity 1: nothing to search";
+}
+
+TEST(Hasher, ByteLengthsAndFieldBoundariesAreDistinct) {
+  // bytes() hashes 8 bytes per round and carries the length in its tail
+  // round, so every prefix of one buffer digests differently.
+  const unsigned char Buf[17] = {0};
+  std::set<uint64_t> Seen;
+  for (size_t Len = 0; Len <= 17; ++Len) {
+    Hasher H;
+    H.bytes(Buf, Len);
+    EXPECT_TRUE(Seen.insert(H.digest()).second) << "length " << Len;
+  }
+  // str() is length-prefixed: ("ab", "c") never collides with ("a", "bc").
+  Hasher AbC, ABc;
+  AbC.str("ab");
+  AbC.str("c");
+  ABc.str("a");
+  ABc.str("bc");
+  EXPECT_NE(AbC.digest(), ABc.digest());
+  // Every small field takes its own round.
+  Hasher U8, U8Twice;
+  U8.u8(0);
+  U8Twice.u8(0);
+  U8Twice.u8(0);
+  EXPECT_NE(U8.digest(), U8Twice.digest());
 }
 
 TEST(Configuration, DescribeCellsNamesPaperCells) {

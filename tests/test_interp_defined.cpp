@@ -234,6 +234,17 @@ TEST(InterpDefined, GlobalInitializersRunInOrder) {
               "int main(void) { return a + b[2] - 8 + (msg[0] - 'h'); }\n");
 }
 
+TEST(InterpDefined, RedefinitionsWithLinkageShareOneObject) {
+  // C11 6.2.2p2, 6.9.2p2: a tentative definition and a later definition
+  // of one name denote one object, so f reads the initialized value.
+  expectClean("int x; int f(void){return x;} int x = 2;\n"
+              "int main(void){return f() - 2;}\n");
+  expectClean("static int x; int f(void){return x;} static int x = 2;\n"
+              "int main(void){return f() - 2;}\n");
+  expectClean("int a[4]; int f(void){return a[3];} int a[4] = {0, 0, 0, 7};\n"
+              "int main(void){return f() - 7;}\n");
+}
+
 TEST(InterpDefined, PrintfFormats) {
   std::string Out = outputOf(
       "#include <stdio.h>\n"

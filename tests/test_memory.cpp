@@ -47,6 +47,30 @@ TEST(SymbolicMemory, BoundsChecked) {
   EXPECT_EQ(Mem.probe(Id, 0, 4), MemStatus::Ok);
 }
 
+TEST(SymbolicMemory, UnallocatedIdsHaveNoObject) {
+  // The table is indexed by id - 1: id 0 (null) and the next id to be
+  // handed out must both miss, not wrap or read past the end.
+  SymbolicMemory Mem;
+  EXPECT_EQ(Mem.find(0), nullptr);
+  EXPECT_EQ(Mem.find(1), nullptr);
+  uint32_t A = Mem.create(StorageKind::Auto, 4, QualType(), NoSymbol);
+  uint32_t B = Mem.create(StorageKind::Heap, 4, QualType(), NoSymbol);
+  ASSERT_EQ(B, A + 1);
+  const uint32_t Next = B + 1;
+  for (uint32_t Id : {0u, Next, 0xffffffffu}) {
+    EXPECT_EQ(Mem.find(Id), nullptr) << Id;
+    EXPECT_EQ(Mem.mutate(Id), nullptr) << Id;
+    EXPECT_EQ(Mem.probe(Id, 0, 1), MemStatus::NoObject) << Id;
+    Byte Out;
+    EXPECT_EQ(Mem.readByte(Id, 0, Out), MemStatus::NoObject) << Id;
+    EXPECT_EQ(Mem.writeByte(Id, 0, Byte::concrete(1)), MemStatus::NoObject)
+        << Id;
+  }
+  EXPECT_EQ(Mem.find(A)->Id, A);
+  EXPECT_EQ(Mem.find(B)->Id, B);
+  EXPECT_EQ(Mem.objects().size(), 2u);
+}
+
 TEST(SymbolicMemory, LifetimeStates) {
   SymbolicMemory Mem;
   uint32_t Stack = Mem.create(StorageKind::Auto, 4, QualType(), NoSymbol);
@@ -222,7 +246,7 @@ TEST(ByteStore, WriteAfterFillStaysInItsPage) {
 
 TEST(SymbolicMemory, IncrementalDigestMatchesFullAfterPagedWrites) {
   auto Digest = [](const SymbolicMemory &M, bool Full) {
-    Fnv1a H;
+    Hasher H;
     M.hashInto(H, Full);
     return H.digest();
   };

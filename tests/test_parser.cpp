@@ -217,6 +217,27 @@ TEST(Parser, ErrorOnMissingSemicolon) {
   EXPECT_TRUE(F.Diags.hasErrors());
 }
 
+TEST(Parser, HostileInputsAreBoundedCompileErrors) {
+  // Each of these once left a '}' at file scope that error recovery
+  // never consumed, so the parser looped, adding a diagnostic per turn.
+  for (const char *Source : {"}", "int main(void){ return {1}; }",
+                             "int main(void){ return (int){1}; }"}) {
+    ParseFixture F;
+    EXPECT_FALSE(F.parse(Source)) << Source;
+    EXPECT_TRUE(F.Diags.hasErrors()) << Source;
+    EXPECT_LT(F.Diags.all().size(), 10u) << Source;
+  }
+}
+
+TEST(Parser, ErrorsPerUnitAreCapped) {
+  std::string Source;
+  for (int I = 0; I < 5000; ++I)
+    Source += "} ";
+  ParseFixture F;
+  EXPECT_FALSE(F.parse(Source));
+  EXPECT_LE(F.Diags.errorCount(), 101u);
+}
+
 TEST(Parser, ErrorOnUndeclaredIdentifier) {
   ParseFixture F;
   EXPECT_FALSE(F.parse("int main(void) { return nope; }"));

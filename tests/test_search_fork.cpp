@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
 #include <set>
 
 using namespace cundef;
@@ -182,30 +184,32 @@ TEST(ForkSearch, TinySnapshotBudgetStillCorrect) {
   expectSameVerdict(searchWith(C, Tiny), searchWith(C, Free), Corpus[5]);
 }
 
+/// Programs that hit arrays, structs, heap allocation, strings, and
+/// scope exit: the incremental-fingerprint checks run over these.
+const char *FingerprintPrograms[] = {
+    Corpus[0],
+    Corpus[7],
+    "int buf[64];\n"
+    "static int g(int x) { buf[x % 64] += x; return x + 1; }\n"
+    "int main(void) { int t = 0; t += g(0) + g(1); t += g(2) + g(3);\n"
+    "  return t > 0 ? 0 : 1; }\n",
+    "typedef struct { int a; int b; } P;\n"
+    "static int f(P *p) { p->a += p->b; return p->a; }\n"
+    "int main(void) { P p; p.a = 1; p.b = 2;\n"
+    "  return f(&p) + f(&p) - 8 ? 1 : 0; }\n",
+    "#include <stdlib.h>\n"
+    "static int g(int x) {\n"
+    "  int *p = malloc(sizeof(int)); *p = x; x = *p; free(p);\n"
+    "  return x; }\n"
+    "int main(void) { int t = g(1) + g(2); return t - 3; }\n",
+};
+
 TEST(ForkSearch, IncrementalFingerprintEqualsFullRehash) {
-  // The incremental digests (cached memory objects, k prefix hashes,
-  // sequencing-set sums, frame caches) must agree with a from-scratch
-  // rehash at every choice point of a real run — this is the
-  // correctness argument for every cache, exercised over programs that
-  // hit arrays, structs, heap allocation, strings, and scope exit.
-  const char *Programs[] = {
-      Corpus[0],
-      Corpus[7],
-      "int buf[64];\n"
-      "static int g(int x) { buf[x % 64] += x; return x + 1; }\n"
-      "int main(void) { int t = 0; t += g(0) + g(1); t += g(2) + g(3);\n"
-      "  return t > 0 ? 0 : 1; }\n",
-      "typedef struct { int a; int b; } P;\n"
-      "static int f(P *p) { p->a += p->b; return p->a; }\n"
-      "int main(void) { P p; p.a = 1; p.b = 2;\n"
-      "  return f(&p) + f(&p) - 8 ? 1 : 0; }\n",
-      "#include <stdlib.h>\n"
-      "static int g(int x) {\n"
-      "  int *p = malloc(sizeof(int)); *p = x; x = *p; free(p);\n"
-      "  return x; }\n"
-      "int main(void) { int t = g(1) + g(2); return t - 3; }\n",
-  };
-  for (const char *Source : Programs) {
+  // The incremental digests (cached memory objects, lazy k prefix
+  // digests, sequencing-set sums, frame caches) must agree with a
+  // from-scratch rehash at every choice point of a real run — this is
+  // the correctness argument for every cache.
+  for (const char *Source : FingerprintPrograms) {
     Driver Drv;
     Driver::Compiled C = Drv.compile(Source, "incr.c");
     ASSERT_TRUE(C->ok()) << C->errors();
@@ -222,6 +226,186 @@ TEST(ForkSearch, IncrementalFingerprintEqualsFullRehash) {
     M.run();
     EXPECT_GT(Checked, 0u) << Source;
     EXPECT_EQ(M.configFingerprint(), M.configFingerprintFull()) << Source;
+  }
+}
+
+TEST(ForkSearch, ForkedMachinesKeepFingerprintsExact) {
+  // The caches travel through configuration copies: a snapshot carries
+  // the k cell's valid digest prefix as of the parent's last
+  // fingerprint, and shares memory objects whose cached digests either
+  // side may refresh. A machine forked from each captured snapshot, down
+  // the flipped branch, must still agree with a full rehash at every
+  // one of its own choice points.
+  for (const char *Source : FingerprintPrograms) {
+    Driver Drv;
+    Driver::Compiled C = Drv.compile(Source, "fork.c");
+    ASSERT_TRUE(C->ok()) << C->errors();
+    MachineOptions Opts;
+    UbSink Sink;
+    Machine M(C->ast(), Opts, Sink);
+    std::vector<std::pair<size_t, MachineSnapshot>> Snaps;
+    M.setBeforeChoiceHook([&](Machine &Mach, unsigned) {
+      if (!Mach.inSyncCall() && Snaps.size() < 24)
+        Snaps.emplace_back(Mach.decisionTrace().size(),
+                           Mach.captureChoiceSnapshot());
+    });
+    M.setChoiceHook([](Machine &Mach) {
+      (void)Mach.configFingerprint(); // extend the parent's caches
+      return true;
+    });
+    M.run();
+    ASSERT_FALSE(Snaps.empty()) << Source;
+
+    const auto &Trace = M.decisionTrace();
+    unsigned Checked = 0;
+    for (const auto &[Depth, Snap] : Snaps) {
+      std::vector<uint8_t> Decisions;
+      for (size_t I = 0; I < Depth; ++I)
+        Decisions.push_back(Trace[I].first);
+      Decisions.push_back(Trace[Depth].first ? 0 : 1); // the other branch
+      UbSink ForkSink;
+      Machine F(C->ast(), Opts, ForkSink, Snap, Decisions);
+      F.setChoiceHook([&](Machine &Mach) {
+        EXPECT_EQ(Mach.configFingerprint(), Mach.configFingerprintFull())
+            << Source << " fork at " << Depth << ", choice point "
+            << Mach.decisionTrace().size();
+        ++Checked;
+        return true;
+      });
+      F.resume();
+      EXPECT_EQ(F.configFingerprint(), F.configFingerprintFull()) << Source;
+    }
+    EXPECT_GT(Checked, 0u) << Source;
+    // The parent's caches survive the forks' writes to shared objects.
+    EXPECT_EQ(M.configFingerprint(), M.configFingerprintFull()) << Source;
+  }
+}
+
+TEST(ForkSearch, KCellLazyDigestProperty) {
+  // Seeded random sequences of push, take, pop, copy and digest() keep
+  // the lazily filled prefix digest equal to a from-scratch one.
+  std::mt19937 Rng(20261020);
+  auto RandomItem = [&]() {
+    KItem Item = KItem::simple(static_cast<KKind>(Rng() % 8));
+    Item.Offset = Rng() % 4;
+    Item.Idx = static_cast<uint8_t>(Rng() % 3);
+    if (Rng() % 4 == 0)
+      Item.Perm = {1, 0};
+    return Item;
+  };
+  for (int Trial = 0; Trial < 50; ++Trial) {
+    std::vector<KCell> Cells(1);
+    for (int Op = 0; Op < 400; ++Op) {
+      KCell &K = Cells[Rng() % Cells.size()];
+      switch (Rng() % 6) {
+      case 0:
+      case 1:
+        K.push_back(RandomItem());
+        break;
+      case 2:
+        if (!K.empty())
+          (void)K.take();
+        break;
+      case 3:
+        if (!K.empty())
+          K.pop_back();
+        break;
+      case 4:
+        if (Cells.size() < 4)
+          Cells.push_back(K);
+        else
+          Cells[Rng() % Cells.size()] = K;
+        break;
+      default:
+        ASSERT_EQ(K.digest(), K.computeDigest())
+            << "trial " << Trial << " op " << Op;
+        break;
+      }
+    }
+    for (const KCell &K : Cells)
+      EXPECT_EQ(K.digest(), K.computeDigest()) << "trial " << Trial;
+  }
+}
+
+TEST(ForkSearch, EveryKItemFieldReachesTheDigest) {
+  // A field the digest skipped would let the search merge two states
+  // that differ in it. Each single-field change must move kItemDigest.
+  auto Fake = [](uintptr_t Addr) {
+    return reinterpret_cast<const void *>(Addr);
+  };
+  Value V = Value::makeInt(static_cast<const Type *>(Fake(0x100)), 7);
+  V.AggBytes = {Byte::concrete(3), Byte::ptrFrag(SymPointer(2, 4), 1, 8)};
+  KItem Base = KItem::simple(KKind::EvalOperands);
+  Base.E = static_cast<const Expr *>(Fake(0x200));
+  Base.Operands = {static_cast<const Expr *>(Fake(0x300))};
+  Base.Results = {V};
+  Base.Perm = {0};
+  Base.D = static_cast<const VarDecl *>(Fake(0x400));
+  Base.ObjectsToKill = {5};
+
+  using Mutator = std::function<void(KItem &)>;
+  auto OnValue = [](std::function<void(Value &)> F) {
+    return Mutator([F](KItem &I) { F(I.Results[0]); });
+  };
+  auto OnByte = [](std::function<void(Byte &)> F) {
+    return std::vector<Mutator>{
+        [F](KItem &I) { F(I.Results[0].Payload); },
+        [F](KItem &I) { F(I.Results[0].AggBytes[1]); }};
+  };
+  std::vector<Mutator> Changes = {
+      [](KItem &I) { I.K = KKind::Expr; },
+      [&](KItem &I) { I.E = static_cast<const Expr *>(Fake(0x208)); },
+      [&](KItem &I) { I.S = static_cast<const Stmt *>(Fake(0x500)); },
+      [&](KItem &I) { I.Operands.push_back(nullptr); },
+      [&](KItem &I) { I.Operands[0] = static_cast<const Expr *>(Fake(0x308)); },
+      [](KItem &I) { I.Results.push_back(Value()); },
+      [](KItem &I) { I.Perm = {1}; },
+      [](KItem &I) { I.Perm.push_back(1); },
+      [](KItem &I) { I.Idx = 1; },
+      [&](KItem &I) { I.D = static_cast<const VarDecl *>(Fake(0x408)); },
+      [](KItem &I) { I.Offset = 8; },
+      [&](KItem &I) { I.Ty.Ty = static_cast<const Type *>(Fake(0x600)); },
+      [](KItem &I) { I.Ty.Quals = 1; },
+      [](KItem &I) { I.ObjectsToKill[0] = 6; },
+      [](KItem &I) { I.ObjectsToKill.push_back(6); },
+      [&](KItem &I) {
+        I.Callee = static_cast<const FunctionDecl *>(Fake(0x700));
+      },
+      [](KItem &I) { I.HasValue = true; },
+      OnValue([](Value &X) { X.K = Value::Kind::Pointer; }),
+      OnValue([&](Value &X) { X.Ty = static_cast<const Type *>(Fake(0x108)); }),
+      OnValue([](Value &X) { X.Bits = 8; }),
+      OnValue([](Value &X) { X.F = 0.5; }),
+      OnValue([](Value &X) { X.Ptr.Base = 9; }),
+      OnValue([](Value &X) { X.Ptr.Offset = -1; }),
+      OnValue([](Value &X) { X.Ptr.FromInteger = true; }),
+      OnValue([](Value &X) { X.Ptr.RawInt = 0x1000; }),
+      OnValue([](Value &X) { X.LvQuals = 1; }),
+      OnValue([](Value &X) { X.AggBytes.pop_back(); }),
+      OnValue([](Value &X) { X.MissingReturn = true; }),
+      OnValue([](Value &X) { X.SubStart = 4; }),
+      OnValue([](Value &X) { X.SubLen = 4; }),
+  };
+  for (auto ByteChange : std::vector<std::function<void(Byte &)>>{
+           [](Byte &B) {
+             B.K = B.isConcrete() ? Byte::Kind::PtrFrag : Byte::Kind::Concrete;
+           },
+           [](Byte &B) { B.Value = 0x55; },
+           [](Byte &B) { B.Ptr.Base = 11; },
+           [](Byte &B) { B.Ptr.Offset = 12; },
+           [](Byte &B) { B.Ptr.FromInteger = !B.Ptr.FromInteger; },
+           [](Byte &B) { B.Ptr.RawInt = 13; },
+           [](Byte &B) { B.FragIndex = 5; },
+           [](Byte &B) { B.FragCount = 6; },
+       })
+    for (Mutator &M : OnByte(ByteChange))
+      Changes.push_back(M);
+
+  const uint64_t BaseDigest = kItemDigest(Base);
+  for (size_t I = 0; I < Changes.size(); ++I) {
+    KItem Changed = Base;
+    Changes[I](Changed);
+    EXPECT_NE(kItemDigest(Changed), BaseDigest) << "change " << I;
   }
 }
 

@@ -70,9 +70,10 @@
 // Every translation unit is submitted to ONE persistent AnalysisEngine
 // (driver/Engine.h): program outputs appear on stdout in command-line
 // order, per-program reports on stderr, and the exit code is 139 if
-// any program is undefined, else 1 if any failed to compile, else the
-// program's own exit code (0 for multi-file batches). Results are
-// byte-identical to running each file separately.
+// any program is undefined, else 1 if any failed to compile, else 4 if
+// the machine could not finish any program's run (an internal error,
+// no verdict), else the program's own exit code (0 for multi-file
+// batches). Results are byte-identical to running each file separately.
 //
 // Flags are validated once, through the AnalysisRequest builder:
 // non-numeric values, a zero search budget, or an absurd worker count
@@ -143,6 +144,10 @@ static bool printProgramReport(const DriverOutcome &O, bool ShowWitness) {
                  "unexplored (raise --search to cover them)\n",
                  O.SearchDropped);
   }
+  if (O.internalError())
+    std::fputs("Internal error: the machine could not finish the run; "
+               "no verdict\n",
+               stderr);
   if (!O.anyUb())
     return false;
   std::fputs(O.renderReport().c_str(), stderr);
@@ -530,13 +535,15 @@ int main(int argc, char **argv) {
                       .count();
   Pool.Programs = static_cast<unsigned>(Inputs.size());
 
-  bool AnyUb = false, AnyCompileFail = false;
+  bool AnyUb = false, AnyCompileFail = false, AnyInternal = false;
   for (const DriverOutcome &O : Outcomes) {
     AnyUb |= O.anyUb();
     AnyCompileFail |= !O.CompileOk && !O.anyUb();
+    AnyInternal |= O.internalError();
   }
   int ExitCode = AnyUb            ? 139
                  : AnyCompileFail ? 1
+                 : AnyInternal    ? 4
                  : Outcomes.size() == 1 ? Outcomes[0].ExitCode
                                         : 0;
 
@@ -616,6 +623,7 @@ int main(int argc, char **argv) {
       const DriverOutcome &O = Outcomes[I];
       const char *Verdict = !O.CompileOk && !O.anyUb() ? "compile-error"
                             : O.anyUb()                ? "UNDEFINED"
+                            : O.internalError()        ? "internal-error"
                                                        : "clean";
       std::fprintf(stderr, "  %s: %s (orders=%u deduped=%u)\n",
                    Inputs[I].Name.c_str(), Verdict, O.OrdersExplored,

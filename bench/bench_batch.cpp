@@ -200,13 +200,13 @@ int main(int argc, char **argv) {
   std::printf("%-8s %9.2f ms %9.2f ms (%.2fx)\n", "total", FreshTotal,
               ReuseTotal, ReuseTotal > 0 ? FreshTotal / ReuseTotal : 0.0);
 
+  const SchedulerStats &PoolN = BatchN.Stats.Pool;
   std::printf("scheduler (x%u): jobs=%u steals=%llu runs=%llu "
               "dedup-hits=%llu peak-frontier=%llu\n",
-              Jobs, BatchN.Stats.Jobs,
-              static_cast<unsigned long long>(BatchN.Stats.Steals),
-              static_cast<unsigned long long>(BatchN.Stats.RunsExecuted),
-              static_cast<unsigned long long>(BatchN.Stats.DedupHits),
-              static_cast<unsigned long long>(BatchN.Stats.PeakFrontier));
+              Jobs, PoolN.Jobs, static_cast<unsigned long long>(PoolN.Steals),
+              static_cast<unsigned long long>(PoolN.RunsExecuted),
+              static_cast<unsigned long long>(PoolN.DedupHits),
+              static_cast<unsigned long long>(PoolN.PeakFrontier));
   std::printf("per-program outcomes %s\n",
               OutcomesAgree ? "identical across all modes and rounds"
                             : "DIFFER (bug!)");
@@ -347,11 +347,13 @@ int main(int argc, char **argv) {
                 "\"steals\": %llu, \"runs\": %llu}\n"
                 "  ],\n",
                 Inputs.size(), SearchRuns, SeqMs, Batch1Ms,
-                static_cast<unsigned long long>(Batch1.Stats.Steals),
-                static_cast<unsigned long long>(Batch1.Stats.RunsExecuted),
+                static_cast<unsigned long long>(Batch1.Stats.Pool.Steals),
+                static_cast<unsigned long long>(
+                    Batch1.Stats.Pool.RunsExecuted),
                 Jobs, BatchNMs,
-                static_cast<unsigned long long>(BatchN.Stats.Steals),
-                static_cast<unsigned long long>(BatchN.Stats.RunsExecuted));
+                static_cast<unsigned long long>(BatchN.Stats.Pool.Steals),
+                static_cast<unsigned long long>(
+                    BatchN.Stats.Pool.RunsExecuted));
   Json += Buf;
   auto msArray = [](const std::vector<double> &Ms) {
     std::string Out = "[";

@@ -430,9 +430,7 @@ struct SearchScheduler::Impl {
 
   explicit Impl(Config Cfg)
       : Cfg(Cfg), Jobs(resolveJobs(Cfg)), Cache(Cfg.SnapshotBudget),
-        Deques(Jobs), ExecStripes(Jobs), StealStripes(Jobs) {
-    Stats.Jobs = Jobs;
-  }
+        Deques(Jobs), ExecStripes(Jobs), StealStripes(Jobs) {}
 
   Config Cfg;
   const unsigned Jobs;
@@ -479,7 +477,6 @@ struct SearchScheduler::Impl {
   /// workers run; the deque's internal map is not safe to index
   /// concurrently with push_back).
   mutable std::mutex SubmitMu;
-  SchedulerStats Stats;
   bool Ran = false;
 
   //===--- Service mode --------------------------------------------------===//
@@ -1192,7 +1189,6 @@ void SearchScheduler::runAll() {
          "runAll() is the one-shot interface; service mode uses "
          "start()/drain()");
   S.Ran = true;
-  S.Stats.Programs = static_cast<unsigned>(S.Programs.size());
   S.ProgramsLeft.store(S.Programs.size(), std::memory_order_release);
 
   // The calling thread is worker 0; with Jobs > 1 the remaining
@@ -1229,28 +1225,11 @@ void SearchScheduler::runAll() {
     S.LazySpawn.store(false, std::memory_order_release);
   }
 
-  // Publish end-of-run aggregate counters (finishProgram already
-  // published per-program ones; the wall-clock details are re-stamped
-  // with final values to preserve the PR-3 accounting).
-  S.Stats.Steals = S.sumStripes(S.StealStripes);
-  S.Stats.SnapshotEvictions = S.Cache.evictions();
-  S.Stats.PeakFrontier = S.PeakFrontier.load(std::memory_order_relaxed);
-  S.Stats.RunsExecuted = S.sumStripes(S.ExecStripes);
-  S.Stats.RunsCommitted = S.RunsCommittedTotal.load(std::memory_order_relaxed);
-  S.Stats.ProvisionalHits = S.ProvisionalHits.load(std::memory_order_relaxed);
-  S.Stats.ProvisionalRequeues =
-      S.ProvisionalRequeues.load(std::memory_order_relaxed);
-  S.Stats.CommitLagPeak = S.CommitLagPeak.load(std::memory_order_relaxed);
-  const SnapshotCache::Counters SC = S.Cache.counters();
-  S.Stats.SnapshotShards = S.Cache.shards();
-  S.Stats.SnapshotTakes = SC.Takes;
-  S.Stats.SnapshotHits = SC.Hits;
-  S.Stats.SnapshotSlotSteals = SC.SlotSteals;
-  for (auto &P : S.Programs) {
-    P->Result.PeakFrontier =
-        static_cast<unsigned>(S.Stats.PeakFrontier); // scheduler-wide
-    S.Stats.DedupHits += P->Result.DedupHits;
-  }
+  // finishProgram stamped each program's peak frontier when it
+  // finished; re-stamp the final scheduler-wide value.
+  for (auto &P : S.Programs)
+    P->Result.PeakFrontier = static_cast<unsigned>(
+        S.PeakFrontier.load(std::memory_order_relaxed)); // scheduler-wide
 }
 
 SearchResult SearchScheduler::takeResult(size_t Program) {
@@ -1262,10 +1241,8 @@ SearchResult SearchScheduler::takeResult(size_t Program) {
 
 SchedulerStats SearchScheduler::stats() const {
   Impl &S = *I;
-  if (!S.Persistent.load(std::memory_order_acquire))
-    return S.Stats;
-  // Live snapshot: every field is monotonic (peak included), so two
-  // snapshots diff into per-batch numbers.
+  // Every field is monotonic (peaks included), so two readings diff
+  // into per-batch numbers.
   SchedulerStats St;
   St.Programs =
       static_cast<unsigned>(S.SubmittedCount.load(std::memory_order_acquire));

@@ -52,6 +52,7 @@
 #define CUNDEF_CORE_SCHEDULER_H
 
 #include "core/Search.h"
+#include "support/Counters.h"
 
 #include <atomic>
 #include <functional>
@@ -163,47 +164,52 @@ private:
   std::atomic<unsigned> Evictions{0};
 };
 
+/// The scheduler-wide counter table (support/Counters.h), in
+/// cundef-kcc-v1 `pool` order. RunsExecuted counts machine runs
+/// actually executed: speculative runs a dedup cancelled and re-runs a
+/// provisional rollback forced included. RunsCommitted counts runs the
+/// commit wavefront finalized (deterministic). ProvisionalHits are runs
+/// stopped early by a visited entry an earlier in-flight run claimed;
+/// ProvisionalRequeues those whose claim did not survive commit, run
+/// again. CommitLagPeak is the peak of executed - committed. Steals are
+/// tasks taken from another worker's deque; the Snapshot* rows count
+/// the snapshot cache's shards, fork attempts, forks served, inserts
+/// placed via a sibling shard and LRU evictions; PeakFrontier is the
+/// most tasks ever queued at once.
+#define CUNDEF_SCHEDULER_COUNTERS(X)                                          \
+  X(unsigned, Programs, "programs", "programs", Sum)                          \
+  X(unsigned, Jobs, "workers", "workers", Gauge)                              \
+  X(uint64_t, RunsExecuted, "runs_executed", "runs-executed", Sum)            \
+  X(uint64_t, RunsCommitted, "runs_committed", "runs-committed", Sum)         \
+  X(double, wasteRatio, "speculative_waste", "waste", Ratio)                  \
+  X(uint64_t, ProvisionalHits, "provisional_hits", "provisional-hits", Sum)   \
+  X(uint64_t, ProvisionalRequeues, "provisional_requeues",                    \
+    "provisional-requeues", Sum)                                              \
+  X(uint64_t, CommitLagPeak, "commit_lag_peak", "commit-lag-peak", Peak)      \
+  X(uint64_t, Steals, "steals", "steals", Sum)                                \
+  X(uint64_t, DedupHits, "dedup_hits", "dedup-hits", Sum)                     \
+  X(unsigned, SnapshotShards, "snapshot_shards", "snapshot-shards", Gauge)    \
+  X(uint64_t, SnapshotTakes, "snapshot_takes", "snapshot-takes", Sum)         \
+  X(uint64_t, SnapshotHits, "snapshot_hits", "snapshot-hits", Sum)            \
+  X(uint64_t, SnapshotSlotSteals, "snapshot_slot_steals",                     \
+    "snapshot-slot-steals", Sum)                                              \
+  X(uint64_t, SnapshotEvictions, "snapshot_evictions", "snapshot-evictions",  \
+    Sum)                                                                      \
+  X(uint64_t, PeakFrontier, "peak_frontier", "peak-frontier", Peak)
+
 /// Scheduler-wide counters (aggregated across all submitted programs;
 /// per-program copies land in each SearchResult).
 struct SchedulerStats {
-  unsigned Programs = 0;
-  unsigned Jobs = 0;
-  /// Tasks taken from another worker's deque.
-  uint64_t Steals = 0;
-  /// Pending snapshots evicted by the LRU cache.
-  uint64_t SnapshotEvictions = 0;
-  /// Maximum simultaneously queued tasks across all deques.
-  uint64_t PeakFrontier = 0;
-  /// Machine runs actually executed, including speculative runs whose
-  /// effective outcome was a dedup cancellation (the wave engine never
-  /// executes those past the cancellation point; the surplus is the
-  /// price of barrier-free scheduling, bounded by the run budget) and
-  /// re-executions forced by a provisional-publication rollback.
-  uint64_t RunsExecuted = 0;
-  /// Sum of per-program dedup hits (committed, deterministic).
-  uint64_t DedupHits = 0;
-  /// Runs finalized by the commit wavefront (deterministic; equal to
-  /// the wave engine's started-run count). RunsExecuted - RunsCommitted
-  /// is the speculative surplus; the waste ratio is that surplus over
-  /// RunsCommitted.
-  uint64_t RunsCommitted = 0;
-  /// Speculative runs stopped early by a *provisional* visited entry —
-  /// one claimed by an in-flight run of an earlier generation, not yet
-  /// committed. Each hit is execution the pre-provisional scheduler
-  /// would have wasted re-exploring a claimed subtree.
-  uint64_t ProvisionalHits = 0;
-  /// Provisionally-stopped runs whose claim did not survive commit
-  /// (no committed entry justified the stop), re-executed against the
-  /// committed set. Determinism's rollback cost; typically tiny.
-  uint64_t ProvisionalRequeues = 0;
-  /// Peak of (runs executed - runs committed): how far speculation ran
-  /// ahead of the commit wavefront.
-  uint64_t CommitLagPeak = 0;
-  /// Snapshot-cache shard count and aggregated shard counters.
-  unsigned SnapshotShards = 0;
-  uint64_t SnapshotTakes = 0;      ///< child fork attempts
-  uint64_t SnapshotHits = 0;       ///< forks served (entry still cached)
-  uint64_t SnapshotSlotSteals = 0; ///< inserts placed via a sibling shard
+  CUNDEF_SCHEDULER_COUNTERS(CUNDEF_COUNTER_FIELD)
+  CUNDEF_COUNTER_VISITOR(SchedulerStats, CUNDEF_SCHEDULER_COUNTERS)
+
+  /// The speculative surplus over committed runs (0 when none
+  /// committed, and at one worker).
+  double wasteRatio() const {
+    return RunsCommitted ? static_cast<double>(RunsExecuted - RunsCommitted) /
+                               static_cast<double>(RunsCommitted)
+                         : 0.0;
+  }
 };
 
 /// Memory-observability counters: how much per-program state the

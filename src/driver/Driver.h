@@ -29,41 +29,15 @@
 namespace cundef {
 
 /// Aggregate counters of one batched run (per-program numbers live in
-/// the individual DriverOutcomes). On a persistent engine these are
-/// per-batch deltas of the monotonic pool counters; PeakFrontier is
-/// the pool's high-water mark as of this batch.
+/// the individual DriverOutcomes): the counterDelta of the engine's
+/// counters across the batch — exact on a quiescent engine, and still
+/// meaningful when batches share the pool with other submissions.
+/// Pool.Programs is the batch's input count; the translation- and
+/// result-cache deltas stay zero on an engine whose cache is off.
 struct BatchStats {
-  unsigned Programs = 0;
-  /// Worker threads the shared scheduler resolved to.
-  unsigned Jobs = 0;
-  uint64_t Steals = 0;
-  uint64_t SnapshotEvictions = 0;
-  uint64_t PeakFrontier = 0;
-  /// Machine runs executed, including speculative surplus.
-  uint64_t RunsExecuted = 0;
-  /// Runs the commit wavefront finalized (deterministic). The
-  /// speculative-waste ratio of the batch is
-  /// (RunsExecuted - RunsCommitted) / RunsCommitted.
-  uint64_t RunsCommitted = 0;
-  /// Provisional-claim rollbacks: runs re-executed because their early
-  /// stop was only provisionally justified.
-  uint64_t ProvisionalRequeues = 0;
-  uint64_t DedupHits = 0;
-  /// Translation-cache resolution of this batch's frontend passes:
-  /// hits (ready artifact or in-flight join — no compile ran) vs
-  /// misses (full frontend pass). Hits + Misses == Programs on a
-  /// Driver-owned engine (cache always enabled there); both stay 0 on
-  /// an engine whose translation cache is disabled.
-  uint64_t TranslationHits = 0;
-  uint64_t TranslationMisses = 0;
-  /// Result-cache resolution of this batch's submissions: hits (a
-  /// completed outcome was replayed, or an in-flight twin's search was
-  /// joined — no search ran) vs misses (this submission owned its
-  /// search). Honest executed-vs-cached accounting: Hits + Misses ==
-  /// Programs on a cache-enabled engine; both stay 0 when the cache is
-  /// disabled or the requests opted out.
-  uint64_t ResultCacheHits = 0;
-  uint64_t ResultCacheMisses = 0;
+  SchedulerStats Pool;
+  TranslationCacheStats Translation;
+  ResultCacheStats Results;
   double WallMs = 0.0;
 };
 

@@ -48,6 +48,7 @@
 #include "driver/ResultCache.h"
 #include "frontend/CompiledProgram.h"
 #include "frontend/TranslationCache.h"
+#include "support/Counters.h"
 #include "text/Preprocessor.h"
 #include "ub/Report.h"
 
@@ -56,6 +57,26 @@
 #include <vector>
 
 namespace cundef {
+
+/// A DriverOutcome's search counters, in its `search` block's order.
+/// OrdersDeduped counts symmetric interleavings pruned. A truncated
+/// search left SearchDropped subtrees unexplored, so a clean verdict is
+/// not exhaustive (kcc --show-witness says so on a line of its own).
+/// Steals and peak frontier are wall-clock details; each eviction
+/// turned one fork into a prefix replay.
+#define CUNDEF_SEARCH_COUNTERS(X)                                             \
+  X(unsigned, OrdersExplored, "orders_explored", "orders", Sum)               \
+  X(unsigned, OrdersDeduped, "orders_deduped", "deduped", Sum)                \
+  X(bool, SearchTruncated, "truncated", "", Gauge)                            \
+  X(unsigned, SearchDropped, "dropped_subtrees", "", Sum)                     \
+  X(unsigned, SearchSteals, "steals", "steals", Sum)                          \
+  X(unsigned, SearchEvictions, "snapshot_evictions", "evictions", Sum)        \
+  X(unsigned, SearchPeakFrontier, "peak_frontier", "peak-frontier", Peak)
+
+/// What a program's analysis concluded. Ordered gravest first: kcc's
+/// exit code follows a batch's gravest verdict (undefined 139, compile
+/// error 1, internal error 4).
+enum class OutcomeVerdict { Undefined, CompileError, InternalError, Clean };
 
 /// Everything one analysis produced. The outcome carries both halves
 /// of kcc's verdict: compile-time findings and runtime findings, plus
@@ -76,22 +97,7 @@ struct DriverOutcome {
   RunStatus Status = RunStatus::Internal;
   int ExitCode = 0;
   std::string Output;
-  unsigned OrdersExplored = 0;
-  /// Symmetric interleavings the search pruned (core/Search.h).
-  unsigned OrdersDeduped = 0;
-  /// The search ran out of budget with subtrees unexplored: a clean
-  /// verdict is then not exhaustive. kcc --show-witness prints this so
-  /// partial searches are never silently mistaken for full ones.
-  bool SearchTruncated = false;
-  /// Subtrees dropped unexplored on budget edges.
-  unsigned SearchDropped = 0;
-  /// Scheduler counters for the search (kcc --show-witness prints them,
-  /// kcc --json emits them). Steals and peak frontier are wall-clock
-  /// details; evictions count LRU snapshot evictions, each of which
-  /// turned one fork into a prefix replay.
-  unsigned SearchSteals = 0;
-  unsigned SearchEvictions = 0;
-  unsigned SearchPeakFrontier = 0;
+  CUNDEF_SEARCH_COUNTERS(CUNDEF_COUNTER_FIELD)
   /// This job's artifact came from the engine's translation cache: no
   /// frontend pass ran for this submission (kcc --show-witness and the
   /// --json compile block surface it).
@@ -117,7 +123,16 @@ struct DriverOutcome {
   /// (or nothing was found).
   std::vector<uint8_t> SearchWitness;
 
+  CUNDEF_COUNTER_VISITOR(DriverOutcome, CUNDEF_SEARCH_COUNTERS)
+
   bool anyUb() const { return !StaticUb.empty() || !DynamicUb.empty(); }
+  /// The one verdict classification every surface prints.
+  OutcomeVerdict verdict() const {
+    return anyUb()           ? OutcomeVerdict::Undefined
+           : !CompileOk      ? OutcomeVerdict::CompileError
+           : internalError() ? OutcomeVerdict::InternalError
+                             : OutcomeVerdict::Clean;
+  }
   /// The program compiled but the machine could not finish its run
   /// (RunStatus::Internal) and nothing undefined was found: there is no
   /// verdict, and it must never read as clean.
@@ -179,13 +194,24 @@ EngineConfig engineConfigFor(const AnalysisRequest &Req);
 /// proportional to its largest batch, not its whole history.
 /// tests/test_catalog_coverage.cpp pins this down over the 200+-program
 /// coverage batch.
+///
+/// PendingJobs: submitted, outcome not yet final. GraveyardArtifacts:
+/// finished jobs' artifact refs awaiting the post-drain reclaim.
+/// ProgramSlots: the scheduler's program index (monotonic).
+/// RetainedPrograms: un-reclaimed per-program search state.
+/// PendingSnapshots: live snapshot-cache entries.
+#define CUNDEF_ENGINE_MEMORY_COUNTERS(X)                                      \
+  X(size_t, PendingJobs, "pending_jobs", "pending-jobs", Gauge)               \
+  X(size_t, GraveyardArtifacts, "graveyard_artifacts", "graveyard-artifacts", \
+    Gauge)                                                                    \
+  X(size_t, ProgramSlots, "program_slots", "program-slots", Gauge)            \
+  X(size_t, RetainedPrograms, "retained_programs", "retained-programs",       \
+    Gauge)                                                                    \
+  X(size_t, PendingSnapshots, "pending_snapshots", "pending-snapshots", Gauge)
+
 struct EngineMemoryStats {
-  size_t PendingJobs = 0;        ///< submitted, outcome not yet final
-  size_t GraveyardArtifacts = 0; ///< finished jobs' artifact refs awaiting
-                                 ///< the post-drain reclaim
-  size_t ProgramSlots = 0;       ///< scheduler program index (monotonic)
-  size_t RetainedPrograms = 0;   ///< un-reclaimed per-program search state
-  size_t PendingSnapshots = 0;   ///< live snapshot-cache entries
+  CUNDEF_ENGINE_MEMORY_COUNTERS(CUNDEF_COUNTER_FIELD)
+  CUNDEF_COUNTER_VISITOR(EngineMemoryStats, CUNDEF_ENGINE_MEMORY_COUNTERS)
 };
 
 /// Identifies a job in EngineSink callbacks.

@@ -51,6 +51,12 @@ const char *cundef::runStatusName(RunStatus Status) {
   return "internal";
 }
 
+const char *cundef::outcomeVerdictName(OutcomeVerdict V) {
+  static const char *const Names[] = {"undefined", "compile-error",
+                                      "internal-error", "clean"};
+  return Names[static_cast<int>(V)];
+}
+
 namespace {
 
 void appendFinding(std::string &Out, const UbReport &R, bool Last) {
@@ -83,13 +89,10 @@ void appendStaticFinding(std::string &Out, const UbReport &R, bool Last) {
 
 void appendProgram(std::string &Out, const JsonProgram &P, bool Last) {
   const DriverOutcome &O = *P.Outcome;
-  const char *Verdict = !O.CompileOk && !O.anyUb() ? "compile-error"
-                        : O.anyUb()                ? "undefined"
-                        : O.internalError()        ? "internal-error"
-                                                   : "clean";
   Out += "    {\n";
   Out += strFormat("      \"name\": \"%s\",\n", jsonEscape(P.Name).c_str());
-  Out += strFormat("      \"verdict\": \"%s\",\n", Verdict);
+  Out += strFormat("      \"verdict\": \"%s\",\n",
+                   outcomeVerdictName(O.verdict()));
   Out += strFormat("      \"compile_ok\": %s,\n",
                    O.CompileOk ? "true" : "false");
   Out += strFormat("      \"compile_errors\": \"%s\",\n",
@@ -152,15 +155,7 @@ void appendProgram(std::string &Out, const JsonProgram &P, bool Last) {
   for (uint8_t D : O.SearchWitness)
     Witness += strFormat("%s%u", Witness.empty() ? "" : ", ", D);
   Out += "      \"search\": {\n";
-  Out += strFormat("        \"orders_explored\": %u,\n", O.OrdersExplored);
-  Out += strFormat("        \"orders_deduped\": %u,\n", O.OrdersDeduped);
-  Out += strFormat("        \"truncated\": %s,\n",
-                   O.SearchTruncated ? "true" : "false");
-  Out += strFormat("        \"dropped_subtrees\": %u,\n", O.SearchDropped);
-  Out += strFormat("        \"steals\": %u,\n", O.SearchSteals);
-  Out += strFormat("        \"snapshot_evictions\": %u,\n",
-                   O.SearchEvictions);
-  Out += strFormat("        \"peak_frontier\": %u,\n", O.SearchPeakFrontier);
+  appendJsonCounters(Out, O, "        ", true);
   Out += strFormat("        \"witness\": [%s]\n", Witness.c_str());
   Out += "      }\n";
   Out += strFormat("    }%s\n", Last ? "" : ",");
@@ -186,76 +181,18 @@ cundef::renderJsonDocument(const std::vector<JsonProgram> &Programs,
       appendProgram(Out, Programs[I], I + 1 == Programs.size());
     Out += "  ],\n";
   }
-  // Speculation accounting (cundef-kcc-v1 additions): the waste ratio
-  // is the executed surplus over committed runs — 0.0 at jobs=1, where
-  // speculation cannot outrun the wavefront.
-  const double Waste =
-      Pool.RunsCommitted
-          ? static_cast<double>(Pool.RunsExecuted - Pool.RunsCommitted) /
-                static_cast<double>(Pool.RunsCommitted)
-          : 0.0;
   Out += "  \"pool\": {\n";
-  Out += strFormat("    \"programs\": %u,\n", Pool.Programs);
-  Out += strFormat("    \"workers\": %u,\n", Pool.Jobs);
-  Out += strFormat("    \"runs_executed\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.RunsExecuted));
-  Out += strFormat("    \"runs_committed\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.RunsCommitted));
-  Out += strFormat("    \"speculative_waste\": %.4f,\n", Waste);
-  Out += strFormat("    \"provisional_hits\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.ProvisionalHits));
-  Out += strFormat("    \"provisional_requeues\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.ProvisionalRequeues));
-  Out += strFormat("    \"commit_lag_peak\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.CommitLagPeak));
-  Out += strFormat("    \"steals\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.Steals));
-  Out += strFormat("    \"dedup_hits\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.DedupHits));
-  Out += strFormat("    \"snapshot_shards\": %u,\n", Pool.SnapshotShards);
-  Out += strFormat("    \"snapshot_takes\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.SnapshotTakes));
-  Out += strFormat("    \"snapshot_hits\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.SnapshotHits));
-  Out += strFormat("    \"snapshot_slot_steals\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.SnapshotSlotSteals));
-  Out += strFormat("    \"snapshot_evictions\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.SnapshotEvictions));
-  Out += strFormat("    \"peak_frontier\": %llu,\n",
-                   static_cast<unsigned long long>(Pool.PeakFrontier));
+  appendJsonCounters(Out, Pool, "    ", true);
   Out += strFormat("    \"wall_ms\": %.3f\n", WallMs);
   Out += "  },\n";
-  // Engine-wide translation-cache counters (cundef-kcc-v1 addition;
-  // all zero when --translation-cache=off).
+  // Engine-wide cache counters (all zero when the cache is off). For
+  // the result cache, hits + inflight_joins is the "served from cache"
+  // count and misses the searches actually executed.
   Out += "  \"translation_cache\": {\n";
-  Out += strFormat("    \"lookups\": %llu,\n",
-                   static_cast<unsigned long long>(TCache.Lookups));
-  Out += strFormat("    \"hits\": %llu,\n",
-                   static_cast<unsigned long long>(TCache.Hits));
-  Out += strFormat("    \"inflight_joins\": %llu,\n",
-                   static_cast<unsigned long long>(TCache.InflightJoins));
-  Out += strFormat("    \"misses\": %llu,\n",
-                   static_cast<unsigned long long>(TCache.Misses));
-  Out += strFormat("    \"evictions\": %llu\n",
-                   static_cast<unsigned long long>(TCache.Evictions));
+  appendJsonCounters(Out, TCache, "    ", false);
   Out += "  },\n";
-  // Engine-wide result-cache counters (cundef-kcc-v1 addition; all
-  // zero when --result-cache=off). hits + inflight_joins is the
-  // "served from cache" count; misses is the searches actually
-  // executed — honest cached-vs-executed accounting.
   Out += "  \"result_cache\": {\n";
-  Out += strFormat("    \"lookups\": %llu,\n",
-                   static_cast<unsigned long long>(RCache.Lookups));
-  Out += strFormat("    \"hits\": %llu,\n",
-                   static_cast<unsigned long long>(RCache.Hits));
-  Out += strFormat("    \"inflight_joins\": %llu,\n",
-                   static_cast<unsigned long long>(RCache.InflightJoins));
-  Out += strFormat("    \"misses\": %llu,\n",
-                   static_cast<unsigned long long>(RCache.Misses));
-  Out += strFormat("    \"evictions\": %llu,\n",
-                   static_cast<unsigned long long>(RCache.Evictions));
-  Out += strFormat("    \"abandoned\": %llu\n",
-                   static_cast<unsigned long long>(RCache.Abandoned));
+  appendJsonCounters(Out, RCache, "    ", false);
   Out += "  }\n";
   Out += "}\n";
   return Out;

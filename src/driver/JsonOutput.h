@@ -33,6 +33,10 @@ std::string jsonEscape(const std::string &Text);
 /// "fault", "step-limit", "internal", "cancelled", "running").
 const char *runStatusName(RunStatus Status);
 
+/// The schema's verdict names ("undefined", "compile-error",
+/// "internal-error", "clean").
+const char *outcomeVerdictName(OutcomeVerdict V);
+
 /// One entry of the top-level "programs" array: the outcome plus its
 /// per-job submit-to-completion wall time (engine attribution; see
 /// EngineSink::onProgramFinished for the shared-pool caveat).

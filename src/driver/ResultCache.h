@@ -47,6 +47,7 @@
 #define CUNDEF_DRIVER_RESULTCACHE_H
 
 #include "frontend/CompiledProgram.h"
+#include "support/Counters.h"
 #include "support/Hash.h"
 
 #include <atomic>
@@ -81,21 +82,26 @@ struct ResultKey {
 };
 
 /// Monotonic cache counters (diff two snapshots for per-batch rates).
+///
+/// Hits: a ready outcome served; the search was skipped outright.
+/// InflightJoins: joined another submission's in-flight search (no
+/// search ran for this caller). Misses: a full search ran (this caller
+/// owns the entry until publish). Hits + InflightJoins + Misses ==
+/// Lookups. Evictions: ready entries dropped by the LRU bound.
+/// Abandoned: entries whose owner completed without a cacheable outcome
+/// (engine shutdown mid-job): the claim is released, waiters still
+/// fire, nothing is stored.
+#define CUNDEF_RESULT_CACHE_COUNTERS(X)                                       \
+  X(uint64_t, Lookups, "lookups", "", Sum)                                    \
+  X(uint64_t, Hits, "hits", "hits", Sum)                                      \
+  X(uint64_t, InflightJoins, "inflight_joins", "joins", Sum)                  \
+  X(uint64_t, Misses, "misses", "misses", Sum)                                \
+  X(uint64_t, Evictions, "evictions", "evictions", Sum)                       \
+  X(uint64_t, Abandoned, "abandoned", "", Sum)
+
 struct ResultCacheStats {
-  uint64_t Lookups = 0;
-  /// Ready outcome served; the search was skipped outright.
-  uint64_t Hits = 0;
-  /// Full search ran (this caller owns the entry until publish).
-  uint64_t Misses = 0;
-  /// Joined another submission's in-flight search (no search ran for
-  /// this caller). Hits + InflightJoins + Misses == Lookups.
-  uint64_t InflightJoins = 0;
-  /// Ready entries dropped by the LRU bound.
-  uint64_t Evictions = 0;
-  /// Entries whose owner completed without a cacheable outcome
-  /// (engine shutdown mid-job): the claim is released, waiters still
-  /// fire, nothing is stored.
-  uint64_t Abandoned = 0;
+  CUNDEF_RESULT_CACHE_COUNTERS(CUNDEF_COUNTER_FIELD)
+  CUNDEF_COUNTER_VISITOR(ResultCacheStats, CUNDEF_RESULT_CACHE_COUNTERS)
 
   /// Fraction of lookups that skipped the search entirely.
   double hitRate() const {

@@ -40,6 +40,7 @@
 #define CUNDEF_FRONTEND_TRANSLATIONCACHE_H
 
 #include "frontend/CompiledProgram.h"
+#include "support/Counters.h"
 #include "support/Hash.h"
 
 #include <atomic>
@@ -53,17 +54,22 @@
 namespace cundef {
 
 /// Monotonic cache counters (diff two snapshots for per-batch rates).
+///
+/// Hits: a ready entry served without waiting. InflightJoins: joined
+/// another caller's in-flight compile (no compile, but a wait).
+/// Misses: a full frontend pass ran. Hits + InflightJoins + Misses ==
+/// Lookups. Evictions: ready entries dropped by the LRU bound.
+#define CUNDEF_TRANSLATION_CACHE_COUNTERS(X)                                  \
+  X(uint64_t, Lookups, "lookups", "", Sum)                                    \
+  X(uint64_t, Hits, "hits", "hits", Sum)                                      \
+  X(uint64_t, InflightJoins, "inflight_joins", "joins", Sum)                  \
+  X(uint64_t, Misses, "misses", "misses", Sum)                                \
+  X(uint64_t, Evictions, "evictions", "evictions", Sum)
+
 struct TranslationCacheStats {
-  uint64_t Lookups = 0;
-  /// Ready entry served without waiting.
-  uint64_t Hits = 0;
-  /// Full frontend pass ran.
-  uint64_t Misses = 0;
-  /// Joined another caller's in-flight compile (no compile, but a
-  /// wait). Hits + InflightJoins + Misses == Lookups.
-  uint64_t InflightJoins = 0;
-  /// Ready entries dropped by the LRU bound.
-  uint64_t Evictions = 0;
+  CUNDEF_TRANSLATION_CACHE_COUNTERS(CUNDEF_COUNTER_FIELD)
+  CUNDEF_COUNTER_VISITOR(TranslationCacheStats,
+                         CUNDEF_TRANSLATION_CACHE_COUNTERS)
 
   /// Fraction of lookups that skipped the frontend pass.
   double hitRate() const {

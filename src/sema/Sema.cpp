@@ -15,10 +15,53 @@ std::string Sema::currentFunctionName() const {
   return CurFn ? Ctx.Interner.str(CurFn->Name) : "<file scope>";
 }
 
+/// A file-scope `T a[];` without `static` or `extern`: a tentative
+/// definition of an array of unknown size (C11 6.9.2p2).
+static bool isTentativeArray(const VarDecl *V) {
+  return V->IsGlobal && V->Storage == StorageClass::None && !V->Init &&
+         V->Ty.Ty && V->Ty.Ty->isArray() && !V->Ty.Ty->ArraySizeKnown;
+}
+
 bool Sema::run() {
+  CurFn = nullptr;
+  std::map<Symbol, const VarDecl *> Defined;
   for (VarDecl *Global : Ctx.TU.Globals) {
-    CurFn = nullptr;
     checkVarDecl(Global);
+    // At most one external definition per name (C11 6.9p5; J.2 lists a
+    // second one as undefined, catalog row 162). Tentative definitions
+    // are not counted.
+    if (Global->Init && Global->Storage != StorageClass::Static &&
+        !Defined.emplace(Global->Name, Global).second)
+      Ub.report(static_cast<UbKind>(162), currentFunctionName(), Global->Loc,
+                /*StaticFinding=*/true);
+  }
+  // A tentative array definition takes its type from a definition of the
+  // name that completes it, else it has one element (C11 6.9.2p2). Any
+  // other declaration of the name, such as one with another element type
+  // or another size, is an incompatible redeclaration (C11 6.2.7p2,
+  // catalog row 44).
+  for (VarDecl *Global : Ctx.TU.Globals) {
+    if (!isTentativeArray(Global))
+      continue;
+    QualType Completed = Global->Ty;
+    for (const VarDecl *Other : Ctx.TU.Globals) {
+      const QualType &Ty = Other->Ty;
+      if (Other == Global || Other->Name != Global->Name)
+        continue;
+      if (!Ty.Ty->isArray() || Ty.Quals != Global->Ty.Quals ||
+          Ty.Ty->Pointee.Quals != Global->Ty.Ty->Pointee.Quals ||
+          !Ctx.Types.compatible(Ty, Completed)) {
+        Ub.report(UbKind::IncompatibleRedeclaration, currentFunctionName(),
+                  Other->Loc, /*StaticFinding=*/true);
+        break;
+      }
+      if (Ty.Ty->ArraySizeKnown)
+        Completed = Ty;
+    }
+    if (!Completed.Ty->ArraySizeKnown)
+      Completed.Ty = Ctx.Types.getArray(Completed.Ty->Pointee, 1,
+                                        /*SizeKnown=*/true);
+    Global->Ty = Completed;
   }
   for (FunctionDecl *F : Ctx.TU.Functions) {
     // A qualified function type (possible only through a typedef) is
@@ -84,7 +127,7 @@ void Sema::checkVarDecl(VarDecl *V) {
     Ub.report(UbKind::FunctionTypeQualified, currentFunctionName(), V->Loc,
               /*StaticFinding=*/true);
   if (!V->Ty.Ty->isCompleteObjectType() && !V->Ty.Ty->isFunction()) {
-    if (V->Storage != StorageClass::Extern) {
+    if (V->Storage != StorageClass::Extern && !isTentativeArray(V)) {
       Ub.report(UbKind::IncompleteTypeObject, currentFunctionName(), V->Loc,
                 /*StaticFinding=*/true);
       Diags.error(V->Loc,

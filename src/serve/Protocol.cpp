@@ -467,13 +467,8 @@ std::string cundef::serializeOutcome(const DriverOutcome &O) {
   Out += strFormat("\"status\":\"%s\",", runStatusName(O.Status));
   Out += strFormat("\"exit_code\":%d,", O.ExitCode);
   Out += strFormat("\"output\":\"%s\",", jsonEscape(O.Output).c_str());
-  Out += strFormat("\"orders_explored\":%u,", O.OrdersExplored);
-  Out += strFormat("\"orders_deduped\":%u,", O.OrdersDeduped);
-  Out += strFormat("\"truncated\":%s,", O.SearchTruncated ? "true" : "false");
-  Out += strFormat("\"dropped_subtrees\":%u,", O.SearchDropped);
-  Out += strFormat("\"steals\":%u,", O.SearchSteals);
-  Out += strFormat("\"snapshot_evictions\":%u,", O.SearchEvictions);
-  Out += strFormat("\"peak_frontier\":%u,", O.SearchPeakFrontier);
+  appendWireCounters(Out, O);
+  Out += ',';
   Out += strFormat("\"translation_cache_hit\":%s,",
                    O.TranslationCacheHit ? "true" : "false");
   Out += strFormat("\"result_cache_hit\":%s,",
@@ -514,15 +509,7 @@ bool cundef::parseOutcome(const JsonValue &V, DriverOutcome &Out,
                                       ? V.get("exit_code")->asI64(0)
                                       : 0);
   Out.Output = V.getString("output");
-  Out.OrdersExplored = static_cast<unsigned>(V.getU64("orders_explored", 0));
-  Out.OrdersDeduped = static_cast<unsigned>(V.getU64("orders_deduped", 0));
-  Out.SearchTruncated = V.getBool("truncated", false);
-  Out.SearchDropped = static_cast<unsigned>(V.getU64("dropped_subtrees", 0));
-  Out.SearchSteals = static_cast<unsigned>(V.getU64("steals", 0));
-  Out.SearchEvictions =
-      static_cast<unsigned>(V.getU64("snapshot_evictions", 0));
-  Out.SearchPeakFrontier =
-      static_cast<unsigned>(V.getU64("peak_frontier", 0));
+  readWireCounters(V, Out);
   Out.TranslationCacheHit = V.getBool("translation_cache_hit", false);
   Out.ResultCacheHit = V.getBool("result_cache_hit", false);
   Out.FrontendMicros = V.getDouble("frontend_micros", 0.0);
@@ -547,55 +534,15 @@ std::string cundef::serializeStats(const SchedulerStats &Pool,
                                    const EngineMemoryStats &Memory,
                                    const TranslationCacheStats &Translation,
                                    const ResultCacheStats &ResultC) {
-  std::string Out = "{";
-  Out += strFormat(
-      "\"pool\":{\"programs\":%u,\"workers\":%u,\"steals\":%llu,"
-      "\"snapshot_evictions\":%llu,\"peak_frontier\":%llu,"
-      "\"runs_executed\":%llu,\"dedup_hits\":%llu,\"runs_committed\":%llu,"
-      "\"provisional_hits\":%llu,\"provisional_requeues\":%llu,"
-      "\"commit_lag_peak\":%llu,\"snapshot_shards\":%u,"
-      "\"snapshot_takes\":%llu,\"snapshot_hits\":%llu,"
-      "\"snapshot_slot_steals\":%llu},",
-      Pool.Programs, Pool.Jobs,
-      static_cast<unsigned long long>(Pool.Steals),
-      static_cast<unsigned long long>(Pool.SnapshotEvictions),
-      static_cast<unsigned long long>(Pool.PeakFrontier),
-      static_cast<unsigned long long>(Pool.RunsExecuted),
-      static_cast<unsigned long long>(Pool.DedupHits),
-      static_cast<unsigned long long>(Pool.RunsCommitted),
-      static_cast<unsigned long long>(Pool.ProvisionalHits),
-      static_cast<unsigned long long>(Pool.ProvisionalRequeues),
-      static_cast<unsigned long long>(Pool.CommitLagPeak),
-      Pool.SnapshotShards,
-      static_cast<unsigned long long>(Pool.SnapshotTakes),
-      static_cast<unsigned long long>(Pool.SnapshotHits),
-      static_cast<unsigned long long>(Pool.SnapshotSlotSteals));
-  Out += strFormat(
-      "\"memory\":{\"pending_jobs\":%llu,\"graveyard_artifacts\":%llu,"
-      "\"program_slots\":%llu,\"retained_programs\":%llu,"
-      "\"pending_snapshots\":%llu},",
-      static_cast<unsigned long long>(Memory.PendingJobs),
-      static_cast<unsigned long long>(Memory.GraveyardArtifacts),
-      static_cast<unsigned long long>(Memory.ProgramSlots),
-      static_cast<unsigned long long>(Memory.RetainedPrograms),
-      static_cast<unsigned long long>(Memory.PendingSnapshots));
-  Out += strFormat(
-      "\"translation\":{\"lookups\":%llu,\"hits\":%llu,\"misses\":%llu,"
-      "\"inflight_joins\":%llu,\"evictions\":%llu},",
-      static_cast<unsigned long long>(Translation.Lookups),
-      static_cast<unsigned long long>(Translation.Hits),
-      static_cast<unsigned long long>(Translation.Misses),
-      static_cast<unsigned long long>(Translation.InflightJoins),
-      static_cast<unsigned long long>(Translation.Evictions));
-  Out += strFormat(
-      "\"result_cache\":{\"lookups\":%llu,\"hits\":%llu,\"misses\":%llu,"
-      "\"inflight_joins\":%llu,\"evictions\":%llu,\"abandoned\":%llu}}",
-      static_cast<unsigned long long>(ResultC.Lookups),
-      static_cast<unsigned long long>(ResultC.Hits),
-      static_cast<unsigned long long>(ResultC.Misses),
-      static_cast<unsigned long long>(ResultC.InflightJoins),
-      static_cast<unsigned long long>(ResultC.Evictions),
-      static_cast<unsigned long long>(ResultC.Abandoned));
+  std::string Out = "{\"pool\":{";
+  appendWireCounters(Out, Pool);
+  Out += "},\"memory\":{";
+  appendWireCounters(Out, Memory);
+  Out += "},\"translation\":{";
+  appendWireCounters(Out, Translation);
+  Out += "},\"result_cache\":{";
+  appendWireCounters(Out, ResultC);
+  Out += "}}";
   return Out;
 }
 
@@ -613,41 +560,10 @@ bool cundef::parseStats(const JsonValue &V, SchedulerStats &Pool,
           "result_cache objects";
     return false;
   }
-  Pool = SchedulerStats();
-  Pool.Programs = static_cast<unsigned>(P->getU64("programs", 0));
-  Pool.Jobs = static_cast<unsigned>(P->getU64("workers", 0));
-  Pool.Steals = P->getU64("steals", 0);
-  Pool.SnapshotEvictions = P->getU64("snapshot_evictions", 0);
-  Pool.PeakFrontier = P->getU64("peak_frontier", 0);
-  Pool.RunsExecuted = P->getU64("runs_executed", 0);
-  Pool.DedupHits = P->getU64("dedup_hits", 0);
-  Pool.RunsCommitted = P->getU64("runs_committed", 0);
-  Pool.ProvisionalHits = P->getU64("provisional_hits", 0);
-  Pool.ProvisionalRequeues = P->getU64("provisional_requeues", 0);
-  Pool.CommitLagPeak = P->getU64("commit_lag_peak", 0);
-  Pool.SnapshotShards = static_cast<unsigned>(P->getU64("snapshot_shards", 0));
-  Pool.SnapshotTakes = P->getU64("snapshot_takes", 0);
-  Pool.SnapshotHits = P->getU64("snapshot_hits", 0);
-  Pool.SnapshotSlotSteals = P->getU64("snapshot_slot_steals", 0);
-  Memory = EngineMemoryStats();
-  Memory.PendingJobs = M->getU64("pending_jobs", 0);
-  Memory.GraveyardArtifacts = M->getU64("graveyard_artifacts", 0);
-  Memory.ProgramSlots = M->getU64("program_slots", 0);
-  Memory.RetainedPrograms = M->getU64("retained_programs", 0);
-  Memory.PendingSnapshots = M->getU64("pending_snapshots", 0);
-  Translation = TranslationCacheStats();
-  Translation.Lookups = T->getU64("lookups", 0);
-  Translation.Hits = T->getU64("hits", 0);
-  Translation.Misses = T->getU64("misses", 0);
-  Translation.InflightJoins = T->getU64("inflight_joins", 0);
-  Translation.Evictions = T->getU64("evictions", 0);
-  ResultC = ResultCacheStats();
-  ResultC.Lookups = R->getU64("lookups", 0);
-  ResultC.Hits = R->getU64("hits", 0);
-  ResultC.Misses = R->getU64("misses", 0);
-  ResultC.InflightJoins = R->getU64("inflight_joins", 0);
-  ResultC.Evictions = R->getU64("evictions", 0);
-  ResultC.Abandoned = R->getU64("abandoned", 0);
+  readWireCounters(*P, Pool);
+  readWireCounters(*M, Memory);
+  readWireCounters(*T, Translation);
+  readWireCounters(*R, ResultC);
   return true;
 }
 

@@ -634,8 +634,8 @@ std::vector<RowSpec> buildSpecs() {
       "int doubled = 1;\n"
       "int doubled = 2;\n"
       "int main(void) { return doubled; }\n",
-      {44}, "two external definitions are incompatible redeclarations in "
-            "one TU"});
+      {162}, "strict: sema reports this row's own catalog code at the "
+             "second definition"});
   R.push_back({163,
       "int not_a_function { return 0; }\n"
       "int main(void) { return 0; }\n",

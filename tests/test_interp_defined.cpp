@@ -245,6 +245,42 @@ TEST(InterpDefined, RedefinitionsWithLinkageShareOneObject) {
               "int main(void){return f() - 7;}\n");
 }
 
+TEST(InterpDefined, TentativeArrayDefinitionsAreComplete) {
+  // C11 6.9.2p2: `int a[];` with external linkage is a tentative
+  // definition; a later definition completes it, otherwise the array
+  // has one element.
+  expectClean("int a[]; int main(void){return a[0];}\n");
+  expectClean("int a[]; int a[4] = {0,1,2,3}; int main(void){return a[1]-1;}\n");
+  // Internal linkage (6.9.2p3) and a never-completed struct stay
+  // objects of incomplete type (catalog row 50).
+  for (const char *Source : {"static int s[]; int main(void){return 0;}\n",
+                             "struct opaque box; int main(void){return 0;}\n"}) {
+    DriverOutcome O = runKcc(Source);
+    ASSERT_FALSE(O.StaticUb.empty()) << Source;
+    EXPECT_EQ(ubCode(O.StaticUb.front().Kind), 50u) << Source;
+  }
+  // Only a definition of the same element type completes the array;
+  // another element type or a second size is an incompatible
+  // redeclaration (C11 6.2.7p2, catalog row 44).
+  for (const char *Source :
+       {"int a[]; char a[4]; int main(void){return a[0];}\n",
+        "int a[]; const int a[4]; int main(void){return a[0];}\n",
+        "int a[]; int a[3]; int a[4]; int main(void){return a[0];}\n"}) {
+    DriverOutcome O = runKcc(Source);
+    ASSERT_FALSE(O.StaticUb.empty()) << Source;
+    EXPECT_EQ(ubCode(O.StaticUb.front().Kind), 44u) << Source;
+  }
+}
+
+TEST(InterpDefined, SecondExternalDefinitionIsUndefined) {
+  // C11 6.9p5 allows one external definition per name; J.2 lists a
+  // second as undefined (catalog row 162). A tentative definition is
+  // not a second one.
+  expectUb("int x = 1; int x = 2; int main(void){return x - 2;}\n",
+           static_cast<UbKind>(162));
+  expectClean("int x; int x = 2; int main(void){return x - 2;}\n");
+}
+
 TEST(InterpDefined, PrintfFormats) {
   std::string Out = outputOf(
       "#include <stdio.h>\n"

@@ -391,8 +391,9 @@ TEST(ResultCacheEngine, CacheIsInvisibleInBatchResults) {
   Driver Batched(Req);
   BatchResult Batch = Batched.runBatch(Inputs);
   ASSERT_EQ(Batch.Outcomes.size(), Inputs.size());
-  EXPECT_EQ(Batch.Stats.ResultCacheMisses, 3u) << "three distinct analyses";
-  EXPECT_EQ(Batch.Stats.ResultCacheHits, Inputs.size() - 3);
+  EXPECT_EQ(Batch.Stats.Results.Misses, 3u) << "three distinct analyses";
+  EXPECT_EQ(Batch.Stats.Results.Hits + Batch.Stats.Results.InflightJoins,
+            Inputs.size() - 3);
 
   EngineConfig Off;
   Off.ResultCacheEntries = 0;

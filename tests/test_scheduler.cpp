@@ -519,7 +519,7 @@ TEST(Scheduler, BatchedDriverMatchesRunSource) {
     Driver Batched(Req);
     BatchResult Batch = Batched.runBatch(Inputs);
     ASSERT_EQ(Batch.Outcomes.size(), Inputs.size());
-    EXPECT_EQ(Batch.Stats.Programs, Inputs.size());
+    EXPECT_EQ(Batch.Stats.Pool.Programs, Inputs.size());
 
     for (size_t I = 0; I < Inputs.size(); ++I) {
       Driver Single(Req);

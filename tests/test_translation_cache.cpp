@@ -324,8 +324,10 @@ TEST(TranslationCacheEngine, DuplicateHeavyBatchMatchesFreshCompiles) {
   Driver Batched(Req);
   BatchResult Batch = Batched.runBatch(Inputs);
   ASSERT_EQ(Batch.Outcomes.size(), Inputs.size());
-  EXPECT_EQ(Batch.Stats.TranslationMisses, 3u) << "three distinct units";
-  EXPECT_EQ(Batch.Stats.TranslationHits, Inputs.size() - 3);
+  EXPECT_EQ(Batch.Stats.Translation.Misses, 3u) << "three distinct units";
+  EXPECT_EQ(Batch.Stats.Translation.Hits +
+                Batch.Stats.Translation.InflightJoins,
+            Inputs.size() - 3);
 
   EngineConfig Off;
   Off.TranslationCacheEntries = 0;

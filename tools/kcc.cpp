@@ -88,6 +88,7 @@
 #include "support/Strings.h"
 #include "ub/Catalog.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -181,49 +182,28 @@ static void printStaticHints(const DriverOutcome &O) {
                  R.Loc.Line, R.Description.c_str());
 }
 
+/// Prints "Title: label=value ..." for the text-labelled rows of a
+/// counter table (support/Counters.h), then \p Tail, then a newline.
+template <class S>
+static void printCounterLine(const char *Title, const S &Stats,
+                             const std::string &Tail = "") {
+  std::string Line = Title;
+  appendTextCounters(Line, Stats);
+  Line += Tail;
+  Line += '\n';
+  std::fputs(Line.c_str(), stderr);
+}
+
 /// The --show-witness stats block: the per-program scheduler counters
 /// plus the frontend-vs-search cost split (and whether the frontend
 /// pass was skipped via the translation cache).
 static void printSearchStats(const DriverOutcome &O) {
-  std::fprintf(stderr,
-               "Search stats: orders=%u deduped=%u steals=%u evictions=%u "
-               "peak-frontier=%u\n",
-               O.OrdersExplored, O.OrdersDeduped, O.SearchSteals,
-               O.SearchEvictions, O.SearchPeakFrontier);
+  printCounterLine("Search stats:", O);
   std::fprintf(stderr,
                "Compile stats: cache=%s frontend-micros=%.1f "
                "search-micros=%.1f\n",
                O.TranslationCacheHit ? "hit" : "miss", O.FrontendMicros,
                O.SearchMicros);
-}
-
-/// The --show-witness pool block: scheduler-wide speculation and
-/// snapshot-cache contention counters (one line each).
-static void printPoolStats(const cundef::SchedulerStats &Pool) {
-  const double Waste =
-      Pool.RunsCommitted
-          ? static_cast<double>(Pool.RunsExecuted - Pool.RunsCommitted) /
-                static_cast<double>(Pool.RunsCommitted)
-          : 0.0;
-  std::fprintf(stderr,
-               "Pool stats: workers=%u runs-executed=%llu "
-               "runs-committed=%llu waste=%.2f%% provisional-hits=%llu "
-               "provisional-requeues=%llu commit-lag-peak=%llu\n",
-               Pool.Jobs,
-               static_cast<unsigned long long>(Pool.RunsExecuted),
-               static_cast<unsigned long long>(Pool.RunsCommitted),
-               Waste * 100.0,
-               static_cast<unsigned long long>(Pool.ProvisionalHits),
-               static_cast<unsigned long long>(Pool.ProvisionalRequeues),
-               static_cast<unsigned long long>(Pool.CommitLagPeak));
-  std::fprintf(stderr,
-               "Snapshot cache: shards=%u takes=%llu hits=%llu "
-               "slot-steals=%llu evictions=%llu\n",
-               Pool.SnapshotShards,
-               static_cast<unsigned long long>(Pool.SnapshotTakes),
-               static_cast<unsigned long long>(Pool.SnapshotHits),
-               static_cast<unsigned long long>(Pool.SnapshotSlotSteals),
-               static_cast<unsigned long long>(Pool.SnapshotEvictions));
 }
 
 int main(int argc, char **argv) {
@@ -535,15 +515,14 @@ int main(int argc, char **argv) {
                       .count();
   Pool.Programs = static_cast<unsigned>(Inputs.size());
 
-  bool AnyUb = false, AnyCompileFail = false, AnyInternal = false;
-  for (const DriverOutcome &O : Outcomes) {
-    AnyUb |= O.anyUb();
-    AnyCompileFail |= !O.CompileOk && !O.anyUb();
-    AnyInternal |= O.internalError();
-  }
-  int ExitCode = AnyUb            ? 139
-                 : AnyCompileFail ? 1
-                 : AnyInternal    ? 4
+  // The gravest verdict decides the exit code (OutcomeVerdict lists
+  // them gravest first).
+  OutcomeVerdict Worst = OutcomeVerdict::Clean;
+  for (const DriverOutcome &O : Outcomes)
+    Worst = std::min(Worst, O.verdict());
+  int ExitCode = Worst == OutcomeVerdict::Undefined       ? 139
+                 : Worst == OutcomeVerdict::CompileError  ? 1
+                 : Worst == OutcomeVerdict::InternalError ? 4
                  : Outcomes.size() == 1 ? Outcomes[0].ExitCode
                                         : 0;
 
@@ -584,47 +563,17 @@ int main(int argc, char **argv) {
       printSearchStats(O);
   }
   if (ShowWitness)
-    printPoolStats(Pool);
+    printCounterLine("Pool stats:", Pool);
   if (BatchStats) {
-    std::fprintf(stderr,
-                 "Batch stats: programs=%u jobs=%u runs=%llu committed=%llu "
-                 "waste=%.2f%% steals=%llu "
-                 "dedup-hits=%llu evictions=%llu peak-frontier=%llu "
-                 "wall-ms=%.2f\n",
-                 Pool.Programs, Pool.Jobs,
-                 static_cast<unsigned long long>(Pool.RunsExecuted),
-                 static_cast<unsigned long long>(Pool.RunsCommitted),
-                 Pool.RunsCommitted
-                     ? 100.0 *
-                           static_cast<double>(Pool.RunsExecuted -
-                                               Pool.RunsCommitted) /
-                           static_cast<double>(Pool.RunsCommitted)
-                     : 0.0,
-                 static_cast<unsigned long long>(Pool.Steals),
-                 static_cast<unsigned long long>(Pool.DedupHits),
-                 static_cast<unsigned long long>(Pool.SnapshotEvictions),
-                 static_cast<unsigned long long>(Pool.PeakFrontier),
-                 WallMs);
-    std::fprintf(stderr,
-                 "Translation cache: hits=%llu joins=%llu misses=%llu "
-                 "evictions=%llu\n",
-                 static_cast<unsigned long long>(TStats.Hits),
-                 static_cast<unsigned long long>(TStats.InflightJoins),
-                 static_cast<unsigned long long>(TStats.Misses),
-                 static_cast<unsigned long long>(TStats.Evictions));
-    std::fprintf(stderr,
-                 "Result cache: hits=%llu joins=%llu misses=%llu "
-                 "evictions=%llu\n",
-                 static_cast<unsigned long long>(RStats.Hits),
-                 static_cast<unsigned long long>(RStats.InflightJoins),
-                 static_cast<unsigned long long>(RStats.Misses),
-                 static_cast<unsigned long long>(RStats.Evictions));
+    printCounterLine("Batch stats:", Pool,
+                     strFormat(" wall-ms=%.2f", WallMs));
+    printCounterLine("Translation cache:", TStats);
+    printCounterLine("Result cache:", RStats);
     for (size_t I = 0; I < Outcomes.size(); ++I) {
       const DriverOutcome &O = Outcomes[I];
-      const char *Verdict = !O.CompileOk && !O.anyUb() ? "compile-error"
-                            : O.anyUb()                ? "UNDEFINED"
-                            : O.internalError()        ? "internal-error"
-                                                       : "clean";
+      const char *Verdict = O.verdict() == OutcomeVerdict::Undefined
+                                ? "UNDEFINED"
+                                : outcomeVerdictName(O.verdict());
       std::fprintf(stderr, "  %s: %s (orders=%u deduped=%u)\n",
                    Inputs[I].Name.c_str(), Verdict, O.OrdersExplored,
                    O.OrdersDeduped);

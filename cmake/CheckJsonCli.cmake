@@ -54,6 +54,11 @@ endif()
 if(NOT OUT MATCHES "\"translation_cache\": \\{" OR NOT OUT MATCHES "\"inflight_joins\":")
   message(FATAL_ERROR "kcc --json: missing translation_cache block: ${OUT}")
 endif()
+# Both cache objects render one counter table, so translation_cache
+# carries abandoned (compiles whose owner threw) too.
+if(NOT OUT MATCHES "\"translation_cache\": \\{[^}]*\"abandoned\":")
+  message(FATAL_ERROR "kcc --json: translation_cache lacks abandoned: ${OUT}")
+endif()
 # The result-cache additions (same backward-compatible lineage): the
 # per-job hit flag in the compile block and the engine-wide
 # result_cache counters object.

@@ -42,6 +42,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -49,6 +50,39 @@
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
+
+namespace cundef {
+
+/// Content address of one completed analysis: the frontend artifact's
+/// address plus the machine-options fingerprint and the engine's
+/// request-level search fingerprint (which also folds in the
+/// static-analysis mode).
+struct ResultKey {
+  TranslationKey Translation;
+  uint64_t MachineFp = 0;
+  uint64_t SearchFp = 0;
+  /// The header-registry fingerprint the unit compiled under. Translation
+  /// already folds it in; it is kept apart so a header edit can sweep
+  /// exactly the entries it made unreachable.
+  uint64_t HeadersFp = 0;
+
+  bool operator==(const ResultKey &O) const {
+    return Translation == O.Translation && MachineFp == O.MachineFp &&
+           SearchFp == O.SearchFp && HeadersFp == O.HeadersFp;
+  }
+};
+
+} // namespace cundef
+
+namespace std {
+template <> struct hash<cundef::ResultKey> {
+  size_t operator()(const cundef::ResultKey &K) const {
+    uint64_t H = hash<cundef::TranslationKey>()(K.Translation);
+    return static_cast<size_t>(
+        cundef::hashCombine(cundef::hashCombine(H, K.MachineFp), K.SearchFp));
+  }
+};
+} // namespace std
 
 using namespace cundef;
 
@@ -170,12 +204,14 @@ struct AnalysisEngine::Impl {
   EngineConfig Cfg;
   HeaderRegistry Headers;
   SearchScheduler Sched;
+  using TranslationCache = ContentCache<TranslationKey, CompiledProgram>;
+  using ResultCache = ContentCache<ResultKey, DriverOutcome>;
   TranslationCache TCache;
   ResultCache RCache;
   /// Header-registry fingerprint of the last cached submission; a
   /// change means headers() was edited on the live engine, which
-  /// triggers the result-cache context sweep (0 = none seen yet).
-  std::atomic<uint64_t> LastContextHash{0};
+  /// triggers the result-cache sweep (0 = none seen yet).
+  std::atomic<uint64_t> LastHeadersFp{0};
 
   /// One queued submission: everything the frontend stage needs, owned
   /// by the task (the caller's source was copied at submit).
@@ -235,37 +271,50 @@ struct AnalysisEngine::Impl {
     }
   }
 
-  /// Resolves \p Source through the translation cache (or compiles
-  /// directly when the cache is disabled). \p OutKey, when given,
-  /// receives the unit's content address even on the uncached path —
-  /// the result cache keys on it, so it must exist independently of
-  /// whether the translation cache is on.
+  /// Compiles \p Source, or shares its artifact through the translation
+  /// cache. \p HeadersFp is Headers.fingerprint(); \p Key receives the
+  /// unit's content address (the result cache keys on it).
   CompiledProgramRef frontend(const AnalysisRequest &Req,
                               const std::string &Source,
-                              const std::string &Name, bool *WasHit,
-                              TranslationKey *OutKey = nullptr) {
+                              const std::string &Name, uint64_t HeadersFp,
+                              bool &WasHit, TranslationKey &Key) {
     FrontendOptions FO;
     FO.Target = Req.target();
     FO.StaticChecks = Req.staticChecks();
     FO.FlowChecks = Req.staticAnalyze() != StaticAnalysisMode::Off;
-    if (!TCache.enabled()) {
-      if (WasHit)
-        *WasHit = false;
-      if (OutKey)
-        *OutKey = translationKeyFor(FO, Source, Name, Headers.fingerprint());
-      return compileTranslationUnit(FO, Source, Name, Headers);
-    }
-    // Hash once: the key addresses the cache AND stamps the artifact,
-    // so the two can never diverge (and a miss does not re-hash the
-    // source and the whole header registry inside the compile).
-    TranslationKey Key =
-        translationKeyFor(FO, Source, Name, Headers.fingerprint());
-    if (OutKey)
-      *OutKey = Key;
-    return TCache.getOrCompile(
-        Key,
-        [&] { return compileTranslationUnit(FO, Source, Name, Headers, &Key); },
+    Key = translationKeyFor(FO, Source, Name, HeadersFp);
+    return getOrCompile(
+        Key, [&] { return compileTranslationUnit(FO, Source, Name, Headers); },
         WasHit);
+  }
+
+  /// The artifact under \p Key: a hit shares the resident one, a joiner
+  /// blocks until the owner's compile lands, and an owner or a disabled
+  /// cache runs \p Compile. A joiner whose owner abandoned (its compile
+  /// threw) compiles the unit itself.
+  template <class CompileFn>
+  CompiledProgramRef getOrCompile(const TranslationKey &Key,
+                                  CompileFn Compile, bool &WasHit) {
+    using Kind = TranslationCache::Claim::Kind;
+    auto Landed = std::make_shared<std::promise<CompiledProgramRef>>();
+    TranslationCache::Claim Claim = TCache.begin(
+        Key, [Landed](CompiledProgramRef Art) { Landed->set_value(Art); });
+    CompiledProgramRef Art = Claim.Ready;
+    if (Claim.K == Kind::Joined)
+      Art = Landed->get_future().get(); // null: the owner abandoned
+    WasHit = Art != nullptr;
+    if (Art)
+      return Art;
+    if (Claim.K != Kind::Owner)
+      return Compile(); // the cache is off, or the owner abandoned
+    try {
+      Art = Compile();
+    } catch (...) {
+      TCache.publish(Key, nullptr);
+      throw;
+    }
+    TCache.publish(Key, Art);
+    return Art;
   }
 
   /// The result cache's content address for \p Req over the unit
@@ -274,9 +323,11 @@ struct AnalysisEngine::Impl {
   /// run flow checks) but produce different outcomes (Only never
   /// searches), so the mode must separate their entries.
   static ResultKey resultKeyFor(const AnalysisRequest &Req,
-                                const TranslationKey &TKey) {
+                                const TranslationKey &TKey,
+                                uint64_t HeadersFp) {
     ResultKey K;
     K.Translation = TKey;
+    K.HeadersFp = HeadersFp;
     K.MachineFp = machineOptionsFingerprint(Req.machine());
     SearchOptions SO;
     SO.MaxRuns = Req.searchRuns();
@@ -312,11 +363,12 @@ struct AnalysisEngine::Impl {
 
     auto FeStart = std::chrono::steady_clock::now();
     const bool UseRC = RCache.enabled() && Req.useResultCache();
+    const uint64_t HeadersFp = Headers.fingerprint();
     bool Hit = false;
     TranslationKey TKey;
     CompiledProgramRef Art;
     try {
-      Art = frontend(Req, Task.Source, St.Name, &Hit, UseRC ? &TKey : nullptr);
+      Art = frontend(Req, Task.Source, St.Name, HeadersFp, Hit, TKey);
     } catch (const std::exception &E) {
       // A throwing frontend (OOM, realistically) must not escape a
       // pool thread — that would terminate the whole service and
@@ -347,13 +399,16 @@ struct AnalysisEngine::Impl {
       // Live-engine header edits re-key every unit (the header
       // fingerprint is folded into TranslationKey::ContextHash), so a
       // stale entry can never be *served* — but it would squat in the
-      // LRU until pressure evicts it. Sweep the previous context's
-      // entries the first time a submission arrives under a new one.
-      const uint64_t Ctx = TKey.ContextHash;
-      const uint64_t Prev = LastContextHash.exchange(Ctx);
-      if (Prev != 0 && Prev != Ctx)
-        RCache.invalidateContextsExcept(Ctx);
-      St.RKey = resultKeyFor(Req, TKey);
+      // LRU until pressure evicts it. Sweep the old registry's entries
+      // the first time a submission arrives under a new one. Requests
+      // that differ only in target or static checks also differ in
+      // ContextHash, so the sweep must key on the registry alone.
+      const uint64_t Prev = LastHeadersFp.exchange(HeadersFp);
+      if (Prev != 0 && Prev != HeadersFp)
+        RCache.evictIf([HeadersFp](const ResultKey &K) {
+          return K.HeadersFp != HeadersFp;
+        });
+      St.RKey = resultKeyFor(Req, TKey, HeadersFp);
       // The waiter fires if (and only if) this submission JOINS an
       // in-flight twin: the owner's publish completes this job with
       // the shared outcome, on the owner's thread, outside all cache
@@ -364,7 +419,7 @@ struct AnalysisEngine::Impl {
       const bool TrHit = Hit;
       const double FeMicros = O.FrontendMicros;
       ResultCache::Claim Claim = RCache.begin(
-          St.RKey, [this, StPtr, TrHit, FeMicros](CachedOutcome Ready) {
+          St.RKey, [this, StPtr, TrHit, FeMicros](ResultCache::Value Ready) {
             if (Ready) {
               finishJob(*StPtr, cachedHitOutcome(*Ready, TrHit, FeMicros),
                         microsSince(StPtr->SubmitTime));
@@ -558,7 +613,9 @@ unsigned AnalysisEngine::workers() const { return I->Sched.stats().Jobs; }
 CompiledProgramRef AnalysisEngine::compile(const AnalysisRequest &Req,
                                            const std::string &Source,
                                            const std::string &Name) {
-  return I->frontend(Req, Source, Name, nullptr);
+  bool Hit = false;
+  TranslationKey Key;
+  return I->frontend(Req, Source, Name, I->Headers.fingerprint(), Hit, Key);
 }
 
 JobHandle AnalysisEngine::submit(const AnalysisRequest &Req,

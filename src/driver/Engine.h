@@ -7,11 +7,12 @@
 /// \file
 /// The service layer: a long-lived AnalysisEngine owns one persistent
 /// work-stealing worker pool (core/Scheduler.h service mode), a shared
-/// snapshot cache, and an engine-wide content-addressed
-/// TranslationCache (frontend/TranslationCache.h), and runs the whole
-/// kcc pipeline — frontend (preprocess, parse, sema, static checks)
-/// plus strict execution and evaluation-order search — for every
-/// translation unit submitted to it.
+/// snapshot cache, and two engine-wide content-addressed caches
+/// (support/ContentCache.h): compiled translation units and completed
+/// search outcomes. It runs the whole kcc pipeline — frontend
+/// (preprocess, parse, sema, static checks) plus strict execution and
+/// evaluation-order search — for every translation unit submitted to
+/// it.
 ///
 /// Submission is truly asynchronous: submit() copies the source,
 /// enqueues a frontend task, and returns a future-backed JobHandle in
@@ -45,9 +46,8 @@
 
 #include "core/Scheduler.h"
 #include "driver/Request.h"
-#include "driver/ResultCache.h"
 #include "frontend/CompiledProgram.h"
-#include "frontend/TranslationCache.h"
+#include "support/ContentCache.h"
 #include "support/Counters.h"
 #include "text/Preprocessor.h"
 #include "ub/Report.h"
@@ -102,12 +102,12 @@ struct DriverOutcome {
   /// frontend pass ran for this submission (kcc --show-witness and the
   /// --json compile block surface it).
   bool TranslationCacheHit = false;
-  /// This job's outcome came from the engine's result cache
-  /// (driver/ResultCache.h): no search ran for this submission — every
-  /// deterministic field below is a byte-identical copy of the cached
-  /// outcome. Only TranslationCacheHit and FrontendMicros describe
-  /// this submission; SearchMicros and the search counters replay the
-  /// original run's (a cached outcome IS that run's outcome).
+  /// This job's outcome came from the engine's result cache: no search
+  /// ran for this submission — every deterministic field below is a
+  /// byte-identical copy of the cached outcome. Only
+  /// TranslationCacheHit and FrontendMicros describe this submission;
+  /// SearchMicros and the search counters replay the original run's (a
+  /// cached outcome IS that run's outcome).
   bool ResultCacheHit = false;
   /// Microseconds this job spent in its frontend stage — the compile,
   /// or the cache lookup/in-flight join that replaced it. Together
@@ -150,6 +150,10 @@ struct BatchInput {
   std::string Name;
 };
 
+/// Both engine caches are ContentCaches and count alike.
+using TranslationCacheStats = ContentCacheStats;
+using ResultCacheStats = ContentCacheStats;
+
 /// Engine-level (pool) configuration. Per-analysis options live in
 /// AnalysisRequest; everything here is shared by every job the engine
 /// ever runs.
@@ -167,11 +171,11 @@ struct EngineConfig {
   /// disables content-addressed reuse: every submission runs its own
   /// frontend pass (the kcc --translation-cache=off A/B mode).
   unsigned TranslationCacheEntries = 256;
-  /// Capacity (outcomes) of the engine-wide result cache
-  /// (driver/ResultCache.h): completed search outcomes keyed by
-  /// (translation key, machine fingerprint, search fingerprint), so a
-  /// resubmitted (source, config) pair skips its search entirely. 0
-  /// disables it (the kcc --result-cache=off A/B mode).
+  /// Capacity (outcomes) of the engine-wide result cache: completed
+  /// search outcomes keyed by (translation key, machine fingerprint,
+  /// search fingerprint), so a resubmitted (source, config) pair skips
+  /// its search entirely. 0 disables it (the kcc --result-cache=off A/B
+  /// mode).
   unsigned ResultCacheEntries = 256;
   /// Threads of the frontend pool, which compiles submissions off the
   /// submitting thread. 0 = auto (2): enough to overlap frontend
@@ -351,7 +355,7 @@ public:
   SchedulerStats poolStats() const;
 
   /// Live translation-cache counters (monotonic): hits, misses,
-  /// in-flight joins, evictions.
+  /// in-flight joins, evictions, abandoned compiles.
   TranslationCacheStats translationStats() const;
 
   /// Live result-cache counters (monotonic): searches skipped because

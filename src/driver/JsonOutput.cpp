@@ -38,25 +38,6 @@ std::string cundef::jsonEscape(const std::string &Text) {
   return Out;
 }
 
-const char *cundef::runStatusName(RunStatus Status) {
-  switch (Status) {
-  case RunStatus::Running:    return "running";
-  case RunStatus::Completed:  return "completed";
-  case RunStatus::UbDetected: return "ub-detected";
-  case RunStatus::Fault:      return "fault";
-  case RunStatus::StepLimit:  return "step-limit";
-  case RunStatus::Internal:   return "internal";
-  case RunStatus::Cancelled:  return "cancelled";
-  }
-  return "internal";
-}
-
-const char *cundef::outcomeVerdictName(OutcomeVerdict V) {
-  static const char *const Names[] = {"undefined", "compile-error",
-                                      "internal-error", "clean"};
-  return Names[static_cast<int>(V)];
-}
-
 namespace {
 
 void appendFinding(std::string &Out, const UbReport &R, bool Last) {
@@ -68,20 +49,12 @@ void appendFinding(std::string &Out, const UbReport &R, bool Last) {
                    R.StaticFinding ? "true" : "false", Last ? "" : ",");
 }
 
-const char *verdictName(FindingVerdict V) {
-  switch (V) {
-  case FindingVerdict::Must: return "must";
-  case FindingVerdict::May:  return "may";
-  case FindingVerdict::None: break;
-  }
-  return "none";
-}
-
 void appendStaticFinding(std::string &Out, const UbReport &R, bool Last) {
   Out += strFormat("          {\"code\": \"%05u\", \"verdict\": \"%s\", "
                    "\"domain\": \"%s\", \"description\": \"%s\", "
                    "\"function\": \"%s\", \"line\": %u, \"column\": %u}%s\n",
-                   ubCode(R.Kind), verdictName(R.Verdict), R.Domain,
+                   ubCode(R.Kind), enumName(FindingVerdictNames, R.Verdict),
+                   R.Domain,
                    jsonEscape(R.Description).c_str(),
                    jsonEscape(R.Function).c_str(), R.Loc.Line, R.Loc.Col,
                    Last ? "" : ",");
@@ -92,12 +65,13 @@ void appendProgram(std::string &Out, const JsonProgram &P, bool Last) {
   Out += "    {\n";
   Out += strFormat("      \"name\": \"%s\",\n", jsonEscape(P.Name).c_str());
   Out += strFormat("      \"verdict\": \"%s\",\n",
-                   outcomeVerdictName(O.verdict()));
+                   enumName(OutcomeVerdictNames, O.verdict()));
   Out += strFormat("      \"compile_ok\": %s,\n",
                    O.CompileOk ? "true" : "false");
   Out += strFormat("      \"compile_errors\": \"%s\",\n",
                    jsonEscape(O.CompileErrors).c_str());
-  Out += strFormat("      \"status\": \"%s\",\n", runStatusName(O.Status));
+  Out += strFormat("      \"status\": \"%s\",\n",
+                   enumName(RunStatusNames, O.Status));
   Out += strFormat("      \"exit_code\": %d,\n", O.ExitCode);
   Out += strFormat("      \"output\": \"%s\",\n",
                    jsonEscape(O.Output).c_str());

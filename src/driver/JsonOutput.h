@@ -19,6 +19,7 @@
 #define CUNDEF_DRIVER_JSONOUTPUT_H
 
 #include "driver/Engine.h"
+#include "support/EnumNames.h"
 
 #include <string>
 #include <vector>
@@ -29,13 +30,44 @@ namespace cundef {
 /// backslashes; UTF-8 passes through).
 std::string jsonEscape(const std::string &Text);
 
-/// The stable status names of the schema ("completed", "ub-detected",
-/// "fault", "step-limit", "internal", "cancelled", "running").
-const char *runStatusName(RunStatus Status);
-
-/// The schema's verdict names ("undefined", "compile-error",
-/// "internal-error", "clean").
-const char *outcomeVerdictName(OutcomeVerdict V);
+/// The schema's name for each enum it carries, declared once: the
+/// `--json` renderer, the wire codec (serve/Protocol.cpp) and kcc's
+/// flags all read these tables.
+inline constexpr EnumName<RunStatus> RunStatusNames[] = {
+    {RunStatus::Internal, "internal"},
+    {RunStatus::Running, "running"},
+    {RunStatus::Completed, "completed"},
+    {RunStatus::UbDetected, "ub-detected"},
+    {RunStatus::Fault, "fault"},
+    {RunStatus::StepLimit, "step-limit"},
+    {RunStatus::Cancelled, "cancelled"},
+};
+inline constexpr EnumName<OutcomeVerdict> OutcomeVerdictNames[] = {
+    {OutcomeVerdict::Undefined, "undefined"},
+    {OutcomeVerdict::CompileError, "compile-error"},
+    {OutcomeVerdict::InternalError, "internal-error"},
+    {OutcomeVerdict::Clean, "clean"},
+};
+inline constexpr EnumName<FindingVerdict> FindingVerdictNames[] = {
+    {FindingVerdict::None, "none"},
+    {FindingVerdict::Must, "must"},
+    {FindingVerdict::May, "may"},
+};
+inline constexpr EnumName<StaticAnalysisMode> StaticModeNames[] = {
+    {StaticAnalysisMode::On, "on"},
+    {StaticAnalysisMode::Off, "off"},
+    {StaticAnalysisMode::Only, "only"},
+};
+inline constexpr EnumName<EvalOrderKind> EvalOrderNames[] = {
+    {EvalOrderKind::LeftToRight, "ltr"},
+    {EvalOrderKind::RightToLeft, "rtl"},
+    {EvalOrderKind::Random, "random"},
+};
+inline constexpr EnumName<RuleStyle> RuleStyleNames[] = {
+    {RuleStyle::SideConditions, "cond"},
+    {RuleStyle::PrecedenceChain, "chain"},
+    {RuleStyle::Declarative, "decl"},
+};
 
 /// One entry of the top-level "programs" array: the outcome plus its
 /// per-job submit-to-completion wall time (engine attribution; see

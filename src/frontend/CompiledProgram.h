@@ -16,8 +16,8 @@
 /// type context are only mutated during the frontend pass), so one
 /// artifact can be searched by any number of concurrent jobs — within
 /// one program's parallel order search, across programs on a shared
-/// worker pool, and across submissions via the engine-wide
-/// TranslationCache (frontend/TranslationCache.h), which deduplicates
+/// worker pool, and across submissions via the engine-wide translation
+/// cache (a ContentCache, support/ContentCache.h), which deduplicates
 /// identical translation units by content address (TranslationKey).
 ///
 /// Lifetime: whoever holds the shared_ptr keeps the arena alive. The
@@ -32,6 +32,7 @@
 #define CUNDEF_FRONTEND_COMPILEDPROGRAM_H
 
 #include "ast/Ast.h"
+#include "support/Hash.h"
 #include "support/StringInterner.h"
 #include "ub/Report.h"
 
@@ -64,14 +65,23 @@ struct TranslationKey {
   bool operator!=(const TranslationKey &O) const { return !(*this == O); }
 };
 
+} // namespace cundef
+
+namespace std {
+template <> struct hash<cundef::TranslationKey> {
+  size_t operator()(const cundef::TranslationKey &K) const {
+    return static_cast<size_t>(
+        cundef::hashCombine(K.SourceHash, K.ContextHash));
+  }
+};
+} // namespace std
+
+namespace cundef {
+
 /// One compiled translation unit. Constructed only by
 /// compileTranslationUnit (frontend/Frontend.h); immutable afterwards.
 class CompiledProgram {
 public:
-  /// The content address this artifact was compiled under, or the
-  /// all-zero key when it was compiled outside the translation cache
-  /// (no address was ever derived — see frontend/Frontend.h).
-  const TranslationKey &key() const { return Key; }
   /// False on preprocess/parse/sema errors; errors() has the rendering.
   bool ok() const { return Ok; }
   /// Rendered diagnostics (also non-fatal ones when ok()).
@@ -98,7 +108,6 @@ private:
   friend class FrontendPipeline;
   CompiledProgram() = default;
 
-  TranslationKey Key;
   std::unique_ptr<StringInterner> Interner;
   std::unique_ptr<AstContext> Ast;
   std::vector<UbReport> StaticUb;

@@ -64,15 +64,9 @@ public:
   static CompiledProgramRef run(const FrontendOptions &Opts,
                                 const std::string &Source,
                                 const std::string &Name,
-                                const HeaderRegistry &Headers,
-                                const TranslationKey *PrecomputedKey) {
+                                const HeaderRegistry &Headers) {
     auto Start = std::chrono::steady_clock::now();
     auto Result = std::shared_ptr<CompiledProgram>(new CompiledProgram());
-    // Only cache-addressed compiles carry a content address; deriving
-    // one here for uncached compiles would hash the source plus the
-    // whole header registry for a field nobody reads on that path.
-    if (PrecomputedKey)
-      Result->Key = *PrecomputedKey;
     Result->Interner = std::make_unique<StringInterner>();
     DiagnosticEngine Diags;
     Preprocessor PP(*Result->Interner, Diags, Headers);
@@ -136,7 +130,6 @@ CompiledProgramRef
 cundef::compileTranslationUnit(const FrontendOptions &Opts,
                                const std::string &Source,
                                const std::string &Name,
-                               const HeaderRegistry &Headers,
-                               const TranslationKey *PrecomputedKey) {
-  return FrontendPipeline::run(Opts, Source, Name, Headers, PrecomputedKey);
+                               const HeaderRegistry &Headers) {
+  return FrontendPipeline::run(Opts, Source, Name, Headers);
 }

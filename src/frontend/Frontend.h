@@ -11,7 +11,7 @@
 /// (driver/Engine.cpp used to run this inline in submit()) so that
 ///
 ///  * the artifact has exactly one producer, content-addressed by
-///    translationKeyFor — the TranslationCache's contract that equal
+///    translationKeyFor — the translation cache's contract that equal
 ///    keys mean interchangeable artifacts holds by construction;
 ///  * compilation can run on any thread (engine frontend workers, the
 ///    compile-only test entry points) against a const HeaderRegistry.
@@ -68,14 +68,9 @@ TranslationKey translationKeyFor(const FrontendOptions &Opts,
 /// equal inputs produce interchangeable artifacts (the cache relies on
 /// it). Thread-safe for concurrent calls as long as \p Headers is not
 /// mutated concurrently (the engine's documented registry contract).
-/// \p PrecomputedKey, when given, is stamped onto the artifact —
-/// callers that addressed the cache pass theirs, so the stamped key IS
-/// the cache key. Without one the artifact's key stays zero: uncached
-/// compiles never pay the source/registry hashing pass.
 CompiledProgramRef
 compileTranslationUnit(const FrontendOptions &Opts, const std::string &Source,
-                       const std::string &Name, const HeaderRegistry &Headers,
-                       const TranslationKey *PrecomputedKey = nullptr);
+                       const std::string &Name, const HeaderRegistry &Headers);
 
 } // namespace cundef
 

@@ -9,6 +9,8 @@
 #include "sema/ConstEval.h"
 #include "support/Strings.h"
 
+#include <utility>
+
 using namespace cundef;
 
 std::string Sema::currentFunctionName() const {
@@ -22,42 +24,62 @@ static bool isTentativeArray(const VarDecl *V) {
          V->Ty.Ty && V->Ty.Ty->isArray() && !V->Ty.Ty->ArraySizeKnown;
 }
 
+/// Whether two declarations of one object agree on its type (C11
+/// 6.2.7p2): compatible types, qualified alike at the top and on array
+/// elements (6.7.3p10).
+static bool sameObjectType(const TypeContext &Types, QualType A, QualType B) {
+  if (A.Quals != B.Quals || !Types.compatible(A, B))
+    return false;
+  return !A.Ty || !A.Ty->isArray() ||
+         A.Ty->Pointee.Quals == B.Ty->Pointee.Quals;
+}
+
 bool Sema::run() {
   CurFn = nullptr;
-  std::map<Symbol, const VarDecl *> Defined;
+  // One pass over the file-scope objects, checking each name's
+  // declarations against the composite type of the earlier ones.
+  struct ObjectName {
+    QualType Composite;
+    bool Defined = false;
+    bool Clash = false;
+  };
+  std::map<Symbol, ObjectName> Names;
+  std::vector<VarDecl *> TentativeArrays;
   for (VarDecl *Global : Ctx.TU.Globals) {
     checkVarDecl(Global);
+    if (isTentativeArray(Global))
+      TentativeArrays.push_back(Global);
+    auto [It, First] = Names.try_emplace(Global->Name);
+    ObjectName &Name = It->second;
     // At most one external definition per name (C11 6.9p5; J.2 lists a
     // second one as undefined, catalog row 162). Tentative definitions
     // are not counted.
     if (Global->Init && Global->Storage != StorageClass::Static &&
-        !Defined.emplace(Global->Name, Global).second)
+        std::exchange(Name.Defined, true))
       Ub.report(static_cast<UbKind>(162), currentFunctionName(), Global->Loc,
                 /*StaticFinding=*/true);
-  }
-  // A tentative array definition takes its type from a definition of the
-  // name that completes it, else it has one element (C11 6.9.2p2). Any
-  // other declaration of the name, such as one with another element type
-  // or another size, is an incompatible redeclaration (C11 6.2.7p2,
-  // catalog row 44).
-  for (VarDecl *Global : Ctx.TU.Globals) {
-    if (!isTentativeArray(Global))
+    if (First) {
+      Name.Composite = Global->Ty;
       continue;
-    QualType Completed = Global->Ty;
-    for (const VarDecl *Other : Ctx.TU.Globals) {
-      const QualType &Ty = Other->Ty;
-      if (Other == Global || Other->Name != Global->Name)
-        continue;
-      if (!Ty.Ty->isArray() || Ty.Quals != Global->Ty.Quals ||
-          Ty.Ty->Pointee.Quals != Global->Ty.Ty->Pointee.Quals ||
-          !Ctx.Types.compatible(Ty, Completed)) {
-        Ub.report(UbKind::IncompatibleRedeclaration, currentFunctionName(),
-                  Other->Loc, /*StaticFinding=*/true);
-        break;
-      }
-      if (Ty.Ty->ArraySizeKnown)
-        Completed = Ty;
     }
+    if (Name.Clash)
+      continue;
+    // Every declaration of an object must agree on its type (C11 6.2.7p2,
+    // catalog row 44); one with an array size completes the composite.
+    if (!sameObjectType(Ctx.Types, Name.Composite, Global->Ty)) {
+      Name.Clash = true;
+      Ub.report(UbKind::IncompatibleRedeclaration, currentFunctionName(),
+                Global->Loc, /*StaticFinding=*/true);
+    } else if (Global->Ty.Ty->isArray() && Global->Ty.Ty->ArraySizeKnown) {
+      Name.Composite = Global->Ty;
+    }
+  }
+  // A tentative array definition takes its type from a declaration that
+  // completes it, else it has one element (C11 6.9.2p2). After a clash
+  // (already reported) it keeps its own element type.
+  for (VarDecl *Global : TentativeArrays) {
+    const ObjectName &Name = Names[Global->Name];
+    QualType Completed = Name.Clash ? Global->Ty : Name.Composite;
     if (!Completed.Ty->ArraySizeKnown)
       Completed.Ty = Ctx.Types.getArray(Completed.Ty->Pointee, 1,
                                         /*SizeKnown=*/true);

@@ -117,115 +117,7 @@ bool cundef::readFrameBlocking(int Fd, std::string &Buffer,
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Enum names
-//===----------------------------------------------------------------------===//
-
 namespace {
-
-const char *orderName(EvalOrderKind K) {
-  switch (K) {
-  case EvalOrderKind::LeftToRight: return "ltr";
-  case EvalOrderKind::RightToLeft: return "rtl";
-  case EvalOrderKind::Random:      return "random";
-  }
-  return "ltr";
-}
-
-bool parseOrderName(const std::string &Name, EvalOrderKind &Out) {
-  if (Name == "ltr")
-    Out = EvalOrderKind::LeftToRight;
-  else if (Name == "rtl")
-    Out = EvalOrderKind::RightToLeft;
-  else if (Name == "random")
-    Out = EvalOrderKind::Random;
-  else
-    return false;
-  return true;
-}
-
-const char *styleName(RuleStyle S) {
-  switch (S) {
-  case RuleStyle::SideConditions:  return "cond";
-  case RuleStyle::PrecedenceChain: return "chain";
-  case RuleStyle::Declarative:     return "decl";
-  }
-  return "cond";
-}
-
-bool parseStyleName(const std::string &Name, RuleStyle &Out) {
-  if (Name == "cond")
-    Out = RuleStyle::SideConditions;
-  else if (Name == "chain")
-    Out = RuleStyle::PrecedenceChain;
-  else if (Name == "decl")
-    Out = RuleStyle::Declarative;
-  else
-    return false;
-  return true;
-}
-
-const char *staticModeName(StaticAnalysisMode M) {
-  switch (M) {
-  case StaticAnalysisMode::Off:  return "off";
-  case StaticAnalysisMode::On:   return "on";
-  case StaticAnalysisMode::Only: return "only";
-  }
-  return "on";
-}
-
-bool parseStaticModeName(const std::string &Name, StaticAnalysisMode &Out) {
-  if (Name == "off")
-    Out = StaticAnalysisMode::Off;
-  else if (Name == "on")
-    Out = StaticAnalysisMode::On;
-  else if (Name == "only")
-    Out = StaticAnalysisMode::Only;
-  else
-    return false;
-  return true;
-}
-
-bool parseRunStatusName(const std::string &Name, RunStatus &Out) {
-  if (Name == "running")
-    Out = RunStatus::Running;
-  else if (Name == "completed")
-    Out = RunStatus::Completed;
-  else if (Name == "ub-detected")
-    Out = RunStatus::UbDetected;
-  else if (Name == "fault")
-    Out = RunStatus::Fault;
-  else if (Name == "step-limit")
-    Out = RunStatus::StepLimit;
-  else if (Name == "internal")
-    Out = RunStatus::Internal;
-  else if (Name == "cancelled")
-    Out = RunStatus::Cancelled;
-  else
-    return false;
-  return true;
-}
-
-const char *verdictWireName(FindingVerdict V) {
-  switch (V) {
-  case FindingVerdict::Must: return "must";
-  case FindingVerdict::May:  return "may";
-  case FindingVerdict::None: break;
-  }
-  return "none";
-}
-
-bool parseVerdictName(const std::string &Name, FindingVerdict &Out) {
-  if (Name == "none")
-    Out = FindingVerdict::None;
-  else if (Name == "must")
-    Out = FindingVerdict::Must;
-  else if (Name == "may")
-    Out = FindingVerdict::May;
-  else
-    return false;
-  return true;
-}
 
 /// UbReport::Domain is documented as "always a string literal, never
 /// owned", so the wire decoder must map names back onto the closed set
@@ -294,13 +186,15 @@ std::string cundef::serializeRequest(const AnalysisRequest &Req) {
       M.PointerBytes ? "true" : "false", M.UnknownBytes ? "true" : "false",
       M.CheckEffectiveTypes ? "true" : "false",
       M.StopAtFirstUb ? "true" : "false",
-      static_cast<unsigned long long>(M.StepLimit), orderName(M.Order),
-      M.Seed, M.MaxCallDepth, styleName(M.Style));
+      static_cast<unsigned long long>(M.StepLimit),
+      enumName(EvalOrderNames, M.Order), M.Seed, M.MaxCallDepth,
+      enumName(RuleStyleNames, M.Style));
   Out += strFormat(
       "\"static_checks\":%s,\"static_analyze\":\"%s\",\"search_runs\":%u,"
       "\"search_jobs\":%u,\"dedup\":%s,\"result_cache\":%s}",
       Req.staticChecks() ? "true" : "false",
-      staticModeName(Req.staticAnalyze()), Req.searchRuns(), Req.searchJobs(),
+      enumName(StaticModeNames, Req.staticAnalyze()), Req.searchRuns(),
+      Req.searchJobs(),
       Req.searchDedup() ? "true" : "false",
       Req.useResultCache() ? "true" : "false");
   return Out;
@@ -355,12 +249,12 @@ bool cundef::parseRequest(const JsonValue &V, AnalysisRequest &Out,
         !readCount(*MV, W, "max_call_depth", M.MaxCallDepth, Err))
       return false;
     if (const JsonValue *OV = MV->get("order"))
-      if (!parseOrderName(OV->asString(), M.Order)) {
+      if (!parseEnumName(EvalOrderNames, OV->asString(), M.Order)) {
         Err = "unknown machine.order '" + OV->asString() + "'";
         return false;
       }
     if (const JsonValue *SV = MV->get("style"))
-      if (!parseStyleName(SV->asString(), M.Style)) {
+      if (!parseEnumName(RuleStyleNames, SV->asString(), M.Style)) {
         Err = "unknown machine.style '" + SV->asString() + "'";
         return false;
       }
@@ -371,7 +265,7 @@ bool cundef::parseRequest(const JsonValue &V, AnalysisRequest &Out,
   B.staticChecks(V.getBool("static_checks", Defaults.staticChecks()));
   StaticAnalysisMode Mode = Defaults.staticAnalyze();
   if (const JsonValue *SM = V.get("static_analyze"))
-    if (!parseStaticModeName(SM->asString(), Mode)) {
+    if (!parseEnumName(StaticModeNames, SM->asString(), Mode)) {
       Err = "unknown static_analyze mode '" + SM->asString() + "'";
       return false;
     }
@@ -414,8 +308,8 @@ std::string cundef::serializeFindings(const std::vector<UbReport> &Reports) {
         "\"verdict\":\"%s\",\"domain\":\"%s\"}",
         I ? "," : "", ubCode(R.Kind), jsonEscape(R.Description).c_str(),
         jsonEscape(R.Function).c_str(), R.Loc.File, R.Loc.Line, R.Loc.Col,
-        R.StaticFinding ? "true" : "false", verdictWireName(R.Verdict),
-        R.Domain);
+        R.StaticFinding ? "true" : "false",
+        enumName(FindingVerdictNames, R.Verdict), R.Domain);
   }
   Out += "]";
   return Out;
@@ -442,11 +336,11 @@ bool cundef::parseFindings(const JsonValue &V, std::vector<UbReport> &Out,
                       static_cast<uint32_t>(F.getU64("line", 0)),
                       static_cast<uint32_t>(F.getU64("column", 0)));
     R.StaticFinding = F.getBool("static", false);
-    if (!parseVerdictName(F.getString("verdict").empty()
-                              ? std::string("none")
-                              : F.getString("verdict"),
-                          R.Verdict)) {
-      Err = "unknown finding verdict '" + F.getString("verdict") + "'";
+    const std::string Verdict = F.getString("verdict");
+    if (!parseEnumName(FindingVerdictNames,
+                       Verdict.empty() ? std::string("none") : Verdict,
+                       R.Verdict)) {
+      Err = "unknown finding verdict '" + Verdict + "'";
       return false;
     }
     R.Domain = internDomain(F.getString("domain"));
@@ -464,7 +358,7 @@ std::string cundef::serializeOutcome(const DriverOutcome &O) {
   Out += "\"static_hints\":" + serializeFindings(O.StaticHints) + ",";
   Out += "\"dynamic_ub\":" + serializeFindings(O.DynamicUb) + ",";
   Out += strFormat("\"static_only\":%s,", O.StaticOnly ? "true" : "false");
-  Out += strFormat("\"status\":\"%s\",", runStatusName(O.Status));
+  Out += strFormat("\"status\":\"%s\",", enumName(RunStatusNames, O.Status));
   Out += strFormat("\"exit_code\":%d,", O.ExitCode);
   Out += strFormat("\"output\":\"%s\",", jsonEscape(O.Output).c_str());
   appendWireCounters(Out, O);
@@ -501,7 +395,7 @@ bool cundef::parseOutcome(const JsonValue &V, DriverOutcome &Out,
   if (!F || !parseFindings(*F, Out.DynamicUb, Err))
     return false;
   Out.StaticOnly = V.getBool("static_only", false);
-  if (!parseRunStatusName(V.getString("status"), Out.Status)) {
+  if (!parseEnumName(RunStatusNames, V.getString("status"), Out.Status)) {
     Err = "unknown run status '" + V.getString("status") + "'";
     return false;
   }
@@ -520,8 +414,14 @@ bool cundef::parseOutcome(const JsonValue &V, DriverOutcome &Out,
       return false;
     }
     Out.SearchWitness.reserve(W->items().size());
-    for (const JsonValue &D : W->items())
-      Out.SearchWitness.push_back(static_cast<uint8_t>(D.asU64(0) ? 1 : 0));
+    for (const JsonValue &D : W->items()) {
+      uint64_t Digit = 0;
+      if (!D.toU64(Digit) || Digit > 255) {
+        Err = "outcome.witness entries must be integers in [0, 255]";
+        return false;
+      }
+      Out.SearchWitness.push_back(static_cast<uint8_t>(Digit));
+    }
   }
   return true;
 }

@@ -39,6 +39,12 @@ inline uint64_t mix64(uint64_t X) {
   return X;
 }
 
+/// Folds \p Word into the table-key hash \p H (cache keys made of
+/// several digests).
+inline uint64_t hashCombine(uint64_t H, uint64_t Word) {
+  return mix64(H ^ (Word * 0x9e3779b97f4a7c15ull));
+}
+
 /// Incremental 64-bit hasher that consumes one 64-bit word per round:
 /// xor the word in, multiply by an odd constant, fold the high half
 /// down. Each round is a bijection of the state for a fixed word and of

@@ -272,6 +272,22 @@ TEST(InterpDefined, TentativeArrayDefinitionsAreComplete) {
   }
 }
 
+TEST(InterpDefined, IncompatibleObjectRedeclarationsAreUndefined) {
+  // Two file-scope declarations of one object must have compatible
+  // types (C11 6.2.7p2, catalog row 44), whichever one defines it.
+  for (const char *Source :
+       {"int x; char x; int main(void){return x;}\n",
+        "int x; long x; int main(void){return (int)x;}\n",
+        "extern int y; char y = 1; int main(void){return y - 1;}\n"}) {
+    DriverOutcome O = runKcc(Source);
+    ASSERT_FALSE(O.StaticUb.empty()) << Source;
+    EXPECT_EQ(ubCode(O.StaticUb.front().Kind), 44u) << Source;
+  }
+  // Compatible redeclarations stay defined.
+  expectClean("extern int z; int z = 1; int main(void){return z - 1;}\n");
+  expectClean("int a[]; int a[4] = {0}; int main(void){return a[3];}\n");
+}
+
 TEST(InterpDefined, SecondExternalDefinitionIsUndefined) {
   // C11 6.9p5 allows one external definition per name; J.2 lists a
   // second as undefined (catalog row 162). A tentative definition is

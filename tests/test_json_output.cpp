@@ -282,7 +282,8 @@ const char *const Golden = R"JSON({
     "hits": 2002,
     "inflight_joins": 2004,
     "misses": 2003,
-    "evictions": 2005
+    "evictions": 2005,
+    "abandoned": 2006
   },
   "result_cache": {
     "lookups": 3001,
@@ -306,6 +307,7 @@ TEST(JsonOutput, DocumentMatchesGolden) {
   T.Misses = 2003;
   T.InflightJoins = 2004;
   T.Evictions = 2005;
+  T.Abandoned = 2006;
   ResultCacheStats R;
   R.Lookups = 3001;
   R.Hits = 3002;
@@ -354,7 +356,8 @@ TEST(JsonOutput, EmptyBatchMatchesGolden) {
     "hits": 0,
     "inflight_joins": 0,
     "misses": 0,
-    "evictions": 0
+    "evictions": 0,
+    "abandoned": 0
   },
   "result_cache": {
     "lookups": 0,

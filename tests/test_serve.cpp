@@ -304,6 +304,34 @@ TEST(ServeProtocol, OutcomeRoundtripsLosslessly) {
   EXPECT_EQ(Back.StaticHints[0].Verdict, FindingVerdict::May);
 }
 
+TEST(ServeProtocol, WitnessDigitsRoundTripAndAreValidated) {
+  // Witness entries are bytes: every value in [0, 255] survives the
+  // wire, and anything else is a decode error naming the field (never
+  // folded to 0 or 1).
+  DriverOutcome O;
+  O.CompileOk = true;
+  O.SearchWitness = {0, 1, 2, 255};
+  const std::string Good = serializeOutcome(O);
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse(Good, V, Err)) << Err;
+  DriverOutcome Back;
+  ASSERT_TRUE(parseOutcome(V, Back, Err)) << Err;
+  EXPECT_EQ(Back.SearchWitness, O.SearchWitness);
+
+  const std::string Digits = "\"witness\":[0,1,2,255]";
+  ASSERT_NE(Good.find(Digits), std::string::npos) << Good;
+  for (const char *Bad : {"[256]", "[\"x\"]", "[-1]", "[1.5]", "[true]"}) {
+    std::string Json = Good;
+    Json.replace(Json.find(Digits), Digits.size(),
+                 std::string("\"witness\":") + Bad);
+    ASSERT_TRUE(JsonValue::parse(Json, V, Err)) << Json << ": " << Err;
+    Err.clear();
+    EXPECT_FALSE(parseOutcome(V, Back, Err)) << Bad;
+    EXPECT_NE(Err.find("outcome.witness"), std::string::npos) << Err;
+  }
+}
+
 TEST(ServeProtocol, RequestRoundtripsAndRevalidates) {
   AnalysisRequest::Builder B;
   B.target(TargetConfig::ilp32())

@@ -2,7 +2,8 @@
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
-// The frontend refactor's contract, pinned from four sides:
+// The translation cache's contract at the engine, pinned from four
+// sides (the cache itself is tests/test_content_cache.cpp):
 //
 //  * **Content addressing is total.** Everything that can change what
 //    the frontend produces — source bytes, unit name, TargetConfig,
@@ -26,12 +27,10 @@
 
 #include "driver/Driver.h"
 #include "frontend/Frontend.h"
-#include "frontend/TranslationCache.h"
 #include "reference/WaveSearch.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 
 using namespace cundef;
@@ -63,22 +62,6 @@ void expectIdentical(const DriverOutcome &A, const DriverOutcome &B,
     EXPECT_EQ(A.DynamicUb[I].Kind, B.DynamicUb[I].Kind) << Tag;
     EXPECT_EQ(A.DynamicUb[I].Loc.Line, B.DynamicUb[I].Loc.Line) << Tag;
   }
-}
-
-/// A trivial artifact for cache unit tests (the cache never looks
-/// inside what it stores).
-CompiledProgramRef makeArtifact() {
-  HeaderRegistry Headers;
-  FrontendOptions FO;
-  return compileTranslationUnit(FO, "int main(void) { return 0; }", "k.c",
-                                Headers);
-}
-
-TranslationKey keyOf(uint64_t A, uint64_t B) {
-  TranslationKey K;
-  K.SourceHash = A;
-  K.ContextHash = B;
-  return K;
 }
 
 } // namespace
@@ -129,100 +112,6 @@ TEST(TranslationKey, HeaderRegistryFingerprintTracksContent) {
 }
 
 //===----------------------------------------------------------------------===//
-// TranslationCache unit behavior.
-//===----------------------------------------------------------------------===//
-
-TEST(TranslationCache, CapacityZeroDisablesReuse) {
-  TranslationCache Cache(0);
-  EXPECT_FALSE(Cache.enabled());
-  unsigned Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    return makeArtifact();
-  };
-  bool Hit = true;
-  Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_FALSE(Hit);
-  Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_FALSE(Hit);
-  EXPECT_EQ(Compiles, 2u);
-  EXPECT_EQ(Cache.size(), 0u);
-}
-
-TEST(TranslationCache, ServesSharedArtifactOnHit) {
-  TranslationCache Cache(8, /*ShardCount=*/1);
-  unsigned Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    return makeArtifact();
-  };
-  bool Hit = true;
-  CompiledProgramRef First = Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_FALSE(Hit);
-  CompiledProgramRef Again = Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_TRUE(Hit);
-  EXPECT_EQ(First.get(), Again.get()) << "hits share one artifact";
-  EXPECT_EQ(Compiles, 1u);
-  TranslationCacheStats St = Cache.stats();
-  EXPECT_EQ(St.Lookups, 2u);
-  EXPECT_EQ(St.Hits, 1u);
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_DOUBLE_EQ(St.hitRate(), 0.5);
-}
-
-TEST(TranslationCache, EvictsLeastRecentlyUsed) {
-  TranslationCache Cache(2, /*ShardCount=*/1);
-  unsigned Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    return makeArtifact();
-  };
-  Cache.getOrCompile(keyOf(1, 0), Compile);
-  Cache.getOrCompile(keyOf(2, 0), Compile);
-  // Touch key 1: key 2 becomes the LRU victim.
-  bool Hit = false;
-  Cache.getOrCompile(keyOf(1, 0), Compile, &Hit);
-  EXPECT_TRUE(Hit);
-  Cache.getOrCompile(keyOf(3, 0), Compile); // evicts key 2
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.stats().Evictions, 1u);
-  Cache.getOrCompile(keyOf(1, 0), Compile, &Hit);
-  EXPECT_TRUE(Hit) << "the recently-touched entry survived";
-  Cache.getOrCompile(keyOf(2, 0), Compile, &Hit);
-  EXPECT_FALSE(Hit) << "the LRU entry was evicted";
-  EXPECT_EQ(Compiles, 4u); // keys 1, 2, 3, and 2 again
-}
-
-TEST(TranslationCache, SingleflightCompilesOncePerKey) {
-  // N threads race one cold key: exactly one compile; everyone gets
-  // the same artifact. (The compile sleeps a moment so joiners really
-  // do arrive while it is in flight — on most runs at least one lands
-  // as an InflightJoin, but the assertion only needs Hits + Joins.)
-  TranslationCache Cache(8);
-  std::atomic<unsigned> Compiles{0};
-  auto Compile = [&] {
-    Compiles.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return makeArtifact();
-  };
-  constexpr unsigned N = 8;
-  std::vector<CompiledProgramRef> Got(N);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < N; ++T)
-    Threads.emplace_back(
-        [&, T] { Got[T] = Cache.getOrCompile(keyOf(7, 7), Compile); });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Compiles.load(), 1u);
-  for (unsigned T = 1; T < N; ++T)
-    EXPECT_EQ(Got[0].get(), Got[T].get()) << T;
-  TranslationCacheStats St = Cache.stats();
-  EXPECT_EQ(St.Lookups, N);
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_EQ(St.Hits + St.InflightJoins, N - 1);
-}
-
-//===----------------------------------------------------------------------===//
 // Engine integration.
 //===----------------------------------------------------------------------===//
 
@@ -240,7 +129,7 @@ TEST(TranslationCacheEngine, CompileEntryPointSharesArtifacts) {
 }
 
 TEST(TranslationCacheEngine, ConcurrentIdenticalSubmitsCompileOnce) {
-  // The ISSUE's stress shape: 8 threads submit one identical source to
+  // The stress shape: 8 threads submit one identical source to
   // a live engine. Exactly one frontend pass may run; every outcome is
   // byte-identical to a cache-off engine's. TSan-instrumented under
   // -DCUNDEF_TSAN=ON (submit(), the cache, and the shared artifact all

@@ -263,17 +263,12 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (startsWith(Arg, "--style=")) {
-      const char *Value = Arg + 8;
-      if (!std::strcmp(Value, "cond"))
-        Builder.style(RuleStyle::SideConditions);
-      else if (!std::strcmp(Value, "chain"))
-        Builder.style(RuleStyle::PrecedenceChain);
-      else if (!std::strcmp(Value, "decl"))
-        Builder.style(RuleStyle::Declarative);
-      else {
+      RuleStyle Style;
+      if (!parseEnumName(RuleStyleNames, Arg + 8, Style)) {
         usage();
         return 2;
       }
+      Builder.style(Style);
     } else if (startsWith(Arg, "--search=")) {
       // A budget of 0 is rejected below by the request builder, with
       // the rest of the combination validation.
@@ -323,17 +318,12 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--json")) {
       Json = true;
     } else if (startsWith(Arg, "--order=")) {
-      const char *Value = Arg + 8;
-      if (!std::strcmp(Value, "ltr"))
-        Builder.order(EvalOrderKind::LeftToRight);
-      else if (!std::strcmp(Value, "rtl"))
-        Builder.order(EvalOrderKind::RightToLeft);
-      else if (!std::strcmp(Value, "random"))
-        Builder.order(EvalOrderKind::Random);
-      else {
+      EvalOrderKind Order;
+      if (!parseEnumName(EvalOrderNames, Arg + 8, Order)) {
         usage();
         return 2;
       }
+      Builder.order(Order);
     } else if (startsWith(Arg, "--seed=")) {
       unsigned Seed = 0;
       if (!parseNumericFlag("--seed", Arg + 7, Seed))
@@ -343,20 +333,16 @@ int main(int argc, char **argv) {
       Builder.staticChecks(false);
     } else if (startsWith(Arg, "--static-analyze=")) {
       const char *Value = Arg + 17;
-      if (!std::strcmp(Value, "on"))
-        Builder.staticAnalyze(StaticAnalysisMode::On);
-      else if (!std::strcmp(Value, "off"))
-        Builder.staticAnalyze(StaticAnalysisMode::Off);
-      else if (!std::strcmp(Value, "only")) {
-        Builder.staticAnalyze(StaticAnalysisMode::Only);
-        StaticOnly = true;
-      } else {
+      StaticAnalysisMode Mode;
+      if (!parseEnumName(StaticModeNames, Value, Mode)) {
         std::fprintf(stderr,
                      "kcc: invalid value '%s' for --static-analyze "
                      "(expected on, off, or only)\n",
                      Value);
         return 2;
       }
+      Builder.staticAnalyze(Mode);
+      StaticOnly = Mode == StaticAnalysisMode::Only;
     } else if (Arg[0] == '-') {
       usage();
       return 2;
@@ -530,9 +516,7 @@ int main(int argc, char **argv) {
     // Machine-readable boundary: the document is the entire stdout;
     // program output is embedded, the human report is suppressed.
     const char *StaticModeName =
-        Req.staticAnalyze() == StaticAnalysisMode::Off  ? "off"
-        : Req.staticAnalyze() == StaticAnalysisMode::Only ? "only"
-                                                          : "on";
+        enumName(StaticModeNames, Req.staticAnalyze());
     std::vector<JsonProgram> Progs;
     Progs.reserve(Outcomes.size());
     for (size_t I = 0; I < Outcomes.size(); ++I)
@@ -573,7 +557,7 @@ int main(int argc, char **argv) {
       const DriverOutcome &O = Outcomes[I];
       const char *Verdict = O.verdict() == OutcomeVerdict::Undefined
                                 ? "UNDEFINED"
-                                : outcomeVerdictName(O.verdict());
+                                : enumName(OutcomeVerdictNames, O.verdict());
       std::fprintf(stderr, "  %s: %s (orders=%u deduped=%u)\n",
                    Inputs[I].Name.c_str(), Verdict, O.OrdersExplored,
                    O.OrdersDeduped);

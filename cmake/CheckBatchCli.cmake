@@ -108,4 +108,38 @@ if(NOT REPORT_ON STREQUAL REPORT_OFF)
   message(FATAL_ERROR "kcc duplicate batch: reports differ between cache on and off:\n${REPORT_ON}\n--- vs ---\n${REPORT_OFF}")
 endif()
 
+# peak_frontier is per program: batched with a deeper search, in either
+# order, a program reports the value it reports alone.
+set(SHALLOW_C ${WORKDIR}/batch_shallow.c)
+file(WRITE ${SHALLOW_C} "static int g(int x) { return x + 1; }\nint main(void) { return g(1) + g(2) > 0 ? 0 : 1; }\n")
+set(DEEP_C ${WORKDIR}/batch_deep.c)
+file(WRITE ${DEEP_C} "static int g(int x) { return x + 1; }\nint main(void) { int t = g(0) + g(1) + g(2) + g(3) + g(4) + g(5) + g(6) + g(7);\n  return t > 0 ? 0 : 1; }\n")
+function(peak_frontiers OUT_VAR)
+  execute_process(
+    COMMAND ${KCC} --json --search=5000 --search-jobs=1 ${ARGN}
+    RESULT_VARIABLE RC OUTPUT_VARIABLE JSON ERROR_VARIABLE ERR)
+  if(NOT RC EQUAL 0)
+    message(FATAL_ERROR "kcc --json ${ARGN}: expected exit 0, got ${RC}: ${ERR}")
+  endif()
+  set(PEAKS "")
+  string(JSON N LENGTH "${JSON}" programs)
+  math(EXPR LAST "${N} - 1")
+  foreach(I RANGE ${LAST})
+    string(JSON P GET "${JSON}" programs ${I} search peak_frontier)
+    list(APPEND PEAKS ${P})
+  endforeach()
+  set(${OUT_VAR} "${PEAKS}" PARENT_SCOPE)
+endfunction()
+peak_frontiers(SHALLOW_ALONE ${SHALLOW_C})
+peak_frontiers(DEEP_ALONE ${DEEP_C})
+if(NOT DEEP_ALONE GREATER SHALLOW_ALONE)
+  message(FATAL_ERROR "kcc peak_frontier: the deep program (${DEEP_ALONE}) must peak above the shallow one (${SHALLOW_ALONE})")
+endif()
+peak_frontiers(DEEP_FIRST ${DEEP_C} ${SHALLOW_C})
+peak_frontiers(SHALLOW_FIRST ${SHALLOW_C} ${DEEP_C})
+if(NOT DEEP_FIRST STREQUAL "${DEEP_ALONE};${SHALLOW_ALONE}" OR
+   NOT SHALLOW_FIRST STREQUAL "${SHALLOW_ALONE};${DEEP_ALONE}")
+  message(FATAL_ERROR "kcc peak_frontier is not per program: alone ${SHALLOW_ALONE} and ${DEEP_ALONE}, batched ${DEEP_FIRST} and ${SHALLOW_FIRST}")
+endif()
+
 message(STATUS "kcc batched CLI behaves as documented")

@@ -428,9 +428,10 @@ struct SearchScheduler::Impl {
     return std::max(1u, Jobs);
   }
 
-  explicit Impl(Config Cfg)
+  Impl(Config Cfg, std::function<void(size_t)> DoneCb)
       : Cfg(Cfg), Jobs(resolveJobs(Cfg)), Cache(Cfg.SnapshotBudget),
-        Deques(Jobs), ExecStripes(Jobs), StealStripes(Jobs) {}
+        Deques(Jobs), ExecStripes(Jobs), StealStripes(Jobs),
+        DoneCb(std::move(DoneCb)) {}
 
   Config Cfg;
   const unsigned Jobs;
@@ -458,7 +459,7 @@ struct SearchScheduler::Impl {
   }
   alignas(64) std::atomic<unsigned> NextPush{0};
   alignas(64) std::atomic<size_t> QueuedCount{0};
-  alignas(64) std::atomic<size_t> ProgramsLeft{0};
+  /// Pool-wide peak of queued tasks (SchedulerStats::PeakFrontier).
   alignas(64) std::atomic<uint64_t> PeakFrontier{0};
   /// Runs finalized by any program's commit wavefront (monotonic).
   alignas(64) std::atomic<uint64_t> RunsCommittedTotal{0};
@@ -473,27 +474,15 @@ struct SearchScheduler::Impl {
   /// free a completed program's arena without disturbing the index
   /// space; a null slot is a reclaimed program.
   std::deque<std::unique_ptr<ProgramState>> Programs;
-  /// Guards Programs growth/reclaim (service mode submits while
+  /// Guards Programs growth/reclaim and Threads (submits arrive while
   /// workers run; the deque's internal map is not safe to index
   /// concurrently with push_back).
   mutable std::mutex SubmitMu;
-  bool Ran = false;
 
-  //===--- Service mode --------------------------------------------------===//
-
-  /// start() was called: workers are persistent, submit() is live.
-  std::atomic<bool> Persistent{false};
   std::atomic<bool> Stopping{false};
+  /// The worker pool: empty until the first submit() spawns all Jobs
+  /// workers, so a scheduler that never searches never starts a thread.
   std::vector<std::thread> Threads;
-  /// One-shot lazy helpers: runAll() runs worker 0 on the calling
-  /// thread and spawns the remaining Jobs-1 helper threads only when
-  /// the frontier actually holds concurrent work. A tiny program
-  /// (frontier never exceeding 1 task) then runs entirely inline —
-  /// zero thread spawns, zero wakeup latency — which is what fixed the
-  /// ~8ms steal-vs-fork pathology on one-choice-point programs.
-  std::atomic<bool> LazySpawn{false};
-  std::atomic<unsigned> HelpersSpawned{0};
-  std::mutex HelperMu; ///< guards helper growth of Threads
   /// Tasks a worker currently holds (popped, not yet finished with);
   /// reclaimFinished() waits for 0 so no worker can be touching a
   /// program state it is about to free.
@@ -510,7 +499,7 @@ struct SearchScheduler::Impl {
   std::mutex CompletedMu;
   std::deque<size_t> CompletedQ;
   std::atomic<size_t> CompletedPending{0};
-  std::function<void(size_t)> DoneCb;
+  const std::function<void(size_t)> DoneCb;
   /// Signals program completions (waitProgram / drain / reclaim).
   std::mutex DoneMu;
   std::condition_variable DoneCv;
@@ -551,34 +540,12 @@ struct SearchScheduler::Impl {
                                                std::memory_order_relaxed))
       ;
     wakeWorker();
-    if (Now > 1)
-      maybeSpawnHelper();
   }
 
-  /// Lazily grows the one-shot helper pool (runAll() with Jobs > 1):
-  /// one helper per observation of genuinely concurrent work, up to
-  /// Jobs - 1. Called from pushTask, so possibly under a program's
-  /// commit mutex — HelperMu is a leaf lock and the spawn itself takes
-  /// no scheduler locks.
-  void maybeSpawnHelper() {
-    if (!LazySpawn.load(std::memory_order_acquire))
-      return;
-    if (HelpersSpawned.load(std::memory_order_relaxed) >= Jobs - 1)
-      return;
-    std::lock_guard<std::mutex> Lock(HelperMu);
-    unsigned N = HelpersSpawned.load(std::memory_order_relaxed);
-    if (N >= Jobs - 1)
-      return;
-    const unsigned W = N + 1; // worker 0 is the calling thread
-    Threads.emplace_back([this, W] { workerLoop(W); });
-    HelpersSpawned.store(N + 1, std::memory_order_relaxed);
-  }
-
-  /// Workers sleep on an untimed predicate wait (a persistent pool
-  /// must not poll while idle), so every event that can change the
-  /// predicate pairs its notify with the wait mutex — otherwise a
-  /// worker between its predicate check and its sleep would miss the
-  /// wakeup forever.
+  /// Workers sleep on an untimed predicate wait (an idle pool must not
+  /// poll), so every event that can change the predicate pairs its
+  /// notify with the wait mutex — otherwise a worker between its
+  /// predicate check and its sleep would miss the wakeup forever.
   void wakeWorker() {
     { std::lock_guard<std::mutex> Lock(IdleMu); }
     IdleCv.notify_one();
@@ -621,27 +588,20 @@ struct SearchScheduler::Impl {
 
   //===--- Worker loop ---------------------------------------------------===//
 
-  /// One-shot workers retire when every submitted program finished;
-  /// persistent workers idle until stop().
-  bool exhausted() const {
-    return Persistent.load(std::memory_order_acquire)
-               ? Stopping.load(std::memory_order_acquire)
-               : ProgramsLeft.load(std::memory_order_acquire) == 0;
-  }
-
+  /// Workers idle between submissions until stop().
   void workerLoop(unsigned Worker) {
-    while (!exhausted()) {
+    while (!Stopping.load(std::memory_order_acquire)) {
       drainCompleted();
       Task *T = popTask(Worker);
       if (!T) {
-        // Untimed: an idle persistent pool sleeps, it does not poll.
-        // Every predicate input is paired with a locked notify
+        // Untimed: an idle pool sleeps, it does not poll. Every
+        // predicate input is paired with a locked notify
         // (wakeWorker/wakeAllWorkers), so no wakeup can be missed.
         std::unique_lock<std::mutex> Lock(IdleMu);
         IdleCv.wait(Lock, [&] {
           return QueuedCount.load(std::memory_order_relaxed) > 0 ||
                  CompletedPending.load(std::memory_order_acquire) > 0 ||
-                 exhausted();
+                 Stopping.load(std::memory_order_acquire);
         });
         continue;
       }
@@ -880,6 +840,10 @@ struct SearchScheduler::Impl {
       finishProgram(P);
       return false;
     }
+    // The wave engine's peak: the largest generation the budget lets
+    // start, counted before truncation.
+    P.Result.PeakFrontier = std::max(P.Result.PeakFrontier,
+                                     static_cast<unsigned>(P.NextGen.size()));
     std::sort(P.NextGen.begin(), P.NextGen.end(),
               [](const Task *A, const Task *B) {
                 return lexLess(A->Pinned, B->Pinned);
@@ -1082,24 +1046,20 @@ struct SearchScheduler::Impl {
 
   /// Marks the program complete and publishes its aggregate counters.
   /// Called under the commit mutex; the result is final here, so the
-  /// per-program wall-clock counters are published too (the one-shot
-  /// epilogue re-publishes them with end-of-run values, preserving the
-  /// PR-3 accounting). The completion callback is only *queued* —
-  /// workers invoke it outside every scheduler lock.
+  /// per-program wall-clock counters are published too. The completion
+  /// callback is only *queued* — workers invoke it outside every
+  /// scheduler lock.
   void finishProgram(ProgramState &P) {
     P.Result.RunsExplored = P.RunsFinalized;
     P.Result.SnapshotEvictions =
         P.EvictionsAtomic.load(std::memory_order_relaxed);
     P.Result.Steals = P.StealsAtomic.load(std::memory_order_relaxed);
-    P.Result.PeakFrontier = static_cast<unsigned>(
-        PeakFrontier.load(std::memory_order_relaxed)); // scheduler-wide
     P.Done.store(true, std::memory_order_release);
     for (Task &T : P.Arena)
       if (T.State.load(std::memory_order_acquire) == Task::Queued)
         T.Abandoned.store(true, std::memory_order_release);
     DoneDedupHits.fetch_add(P.Result.DedupHits, std::memory_order_relaxed);
     FinishedCount.fetch_add(1, std::memory_order_acq_rel);
-    ProgramsLeft.fetch_sub(1, std::memory_order_acq_rel);
     {
       std::lock_guard<std::mutex> Lock(CompletedMu);
       CompletedQ.push_back(P.Id);
@@ -1117,8 +1077,7 @@ struct SearchScheduler::Impl {
 
   /// Seeds a program with its root task (the empty prefix = the policy
   /// default order), unless the budget cannot even run it — then the
-  /// program completes immediately as fully truncated. ProgramsLeft
-  /// must already account for the program.
+  /// program completes immediately as fully truncated.
   void seedProgram(ProgramState &P, unsigned Hint) {
     if (P.SOpts.MaxRuns == 0) {
       P.Result.FrontierTruncated = true;
@@ -1133,6 +1092,7 @@ struct SearchScheduler::Impl {
     P.CurGen.push_back(&Root);
     P.NextFinal = 0;
     ++P.Result.Waves;
+    P.Result.PeakFrontier = 1;
     pushTask(&Root, Hint);
   }
 };
@@ -1141,16 +1101,15 @@ struct SearchScheduler::Impl {
 // SearchScheduler
 //===----------------------------------------------------------------------===//
 
-SearchScheduler::SearchScheduler(Config Cfg)
-    : I(std::make_unique<Impl>(Cfg)) {}
+SearchScheduler::SearchScheduler(Config Cfg,
+                                 std::function<void(size_t)> OnProgramDone)
+    : I(std::make_unique<Impl>(Cfg, std::move(OnProgramDone))) {}
 
 SearchScheduler::~SearchScheduler() { stop(); }
 
 size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
                                SearchOptions SOpts, bool RootGated) {
   Impl &S = *I;
-  assert((!S.Ran || S.Persistent.load(std::memory_order_acquire)) &&
-         "one-shot mode: submit all programs before runAll()");
   auto Slot = std::make_unique<ProgramState>();
   ProgramState &P = *Slot;
   P.Ast = &Ast;
@@ -1159,77 +1118,25 @@ size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
   P.RootGated = RootGated;
   // Same gating policy as the wave engine: replay cannot reproduce the
   // Random policy's shuffle stream, and Declarative-style monitors keep
-  // state outside the configuration a snapshot could capture. A
-  // per-program SnapshotBudget of 0 keeps its documented "pure replay"
-  // meaning; nonzero capacities come from Config.SnapshotBudget (the
-  // cache is shared, so per-program sizes cannot coexist).
+  // state outside the configuration a snapshot could capture. Whether
+  // to capture at all follows the shared cache's capacity: a 0-capacity
+  // cache is pure replay.
   P.Dedup = SOpts.Dedup && MOpts.Order != EvalOrderKind::Random;
-  P.Snapshots = SOpts.SnapshotBudget > 0 &&
+  P.Snapshots = S.Cfg.SnapshotBudget > 0 &&
                 MOpts.Order != EvalOrderKind::Random &&
                 MOpts.Style != RuleStyle::Declarative;
 
   std::lock_guard<std::mutex> Lock(S.SubmitMu);
+  if (S.Threads.empty() && !S.Stopping.load(std::memory_order_acquire)) {
+    S.Threads.reserve(S.Jobs);
+    for (unsigned W = 0; W < S.Jobs; ++W)
+      S.Threads.emplace_back([&S, W] { S.workerLoop(W); });
+  }
   P.Id = S.Programs.size();
   S.Programs.push_back(std::move(Slot));
   S.SubmittedCount.fetch_add(1, std::memory_order_acq_rel);
-  if (S.Persistent.load(std::memory_order_acquire)) {
-    // Service mode: the program goes live immediately on the running
-    // pool. ProgramsLeft is bumped before seeding so drain() can never
-    // observe a submitted-but-unaccounted program.
-    S.ProgramsLeft.fetch_add(1, std::memory_order_acq_rel);
-    S.seedProgram(P, S.NextPush.fetch_add(1, std::memory_order_relaxed));
-  }
+  S.seedProgram(P, S.NextPush.fetch_add(1, std::memory_order_relaxed));
   return P.Id;
-}
-
-void SearchScheduler::runAll() {
-  Impl &S = *I;
-  assert(!S.Ran && "runAll() may be called once");
-  assert(!S.Persistent.load(std::memory_order_acquire) &&
-         "runAll() is the one-shot interface; service mode uses "
-         "start()/drain()");
-  S.Ran = true;
-  S.ProgramsLeft.store(S.Programs.size(), std::memory_order_release);
-
-  // The calling thread is worker 0; with Jobs > 1 the remaining
-  // workers spawn lazily, on demand, from pushTask (maybeSpawnHelper).
-  // Seeding therefore happens with LazySpawn already live: a batch of
-  // N programs pushes N roots and grows the pool immediately, while a
-  // single tiny program never pays a thread spawn at all.
-  if (S.Jobs > 1)
-    S.LazySpawn.store(true, std::memory_order_release);
-  unsigned Spawn = 0;
-  for (auto &P : S.Programs)
-    S.seedProgram(*P, Spawn++);
-
-  if (S.ProgramsLeft.load(std::memory_order_acquire) > 0)
-    S.workerLoop(0);
-  if (S.Jobs > 1) {
-    // Worker 0 only returns once every program finished; helpers then
-    // observe exhausted() and retire (finishProgram woke them all).
-    // Join without holding HelperMu — a retiring helper may be blocked
-    // *in* maybeSpawnHelper on that mutex, and can even spawn one last
-    // (immediately-retiring) helper — so swap-and-join until the pool
-    // stays empty.
-    for (;;) {
-      std::vector<std::thread> Batch;
-      {
-        std::lock_guard<std::mutex> Lock(S.HelperMu);
-        Batch.swap(S.Threads);
-      }
-      if (Batch.empty())
-        break;
-      for (std::thread &T : Batch)
-        T.join();
-    }
-    S.LazySpawn.store(false, std::memory_order_release);
-  }
-
-  // finishProgram stamped each program's peak frontier when it
-  // finished; re-stamp the final scheduler-wide value.
-  for (auto &P : S.Programs)
-    P->Result.PeakFrontier = static_cast<unsigned>(
-        S.PeakFrontier.load(std::memory_order_relaxed)); // scheduler-wide
 }
 
 SearchResult SearchScheduler::takeResult(size_t Program) {
@@ -1265,29 +1172,6 @@ SchedulerStats SearchScheduler::stats() const {
   return St;
 }
 
-//===----------------------------------------------------------------------===//
-// Service mode
-//===----------------------------------------------------------------------===//
-
-void SearchScheduler::start() {
-  Impl &S = *I;
-  assert(!S.Ran && "cannot mix start() with runAll()");
-  if (S.Persistent.exchange(true, std::memory_order_acq_rel))
-    return; // already started
-  S.Threads.reserve(S.Jobs);
-  for (unsigned W = 0; W < S.Jobs; ++W)
-    S.Threads.emplace_back([&S, W] { S.workerLoop(W); });
-}
-
-bool SearchScheduler::started() const {
-  return I->Persistent.load(std::memory_order_acquire);
-}
-
-void SearchScheduler::setProgramDoneCallback(std::function<void(size_t)> Fn) {
-  assert(!started() && "set the completion callback before start()");
-  I->DoneCb = std::move(Fn);
-}
-
 void SearchScheduler::waitProgram(size_t Program) {
   Impl &S = *I;
   // The pointer is captured once: taking SubmitMu inside the wait
@@ -1312,8 +1196,6 @@ void SearchScheduler::drain() {
 
 bool SearchScheduler::reclaimFinished() {
   Impl &S = *I;
-  if (!S.Persistent.load(std::memory_order_acquire))
-    return false;
   std::lock_guard<std::mutex> Lock(S.SubmitMu);
   // Only a fully idle pool is safe: with every program finished, no
   // queued task can spawn children and no in-flight run can outlive
@@ -1341,10 +1223,9 @@ bool SearchScheduler::reclaimFinished() {
         !Slot->ResultTaken)
       continue;
     // Executed-but-never-finalized tasks (overtaken by an early UB
-    // winner) still pin their mid-run snapshot captures. In one-shot
-    // mode the cache dies with the scheduler; a persistent pool must
-    // sweep them here or they evict the next batch's snapshots and
-    // silently degrade forks into replays.
+    // winner) still pin their mid-run snapshot captures. The pool
+    // outlives the batch, so sweep them here or they evict the next
+    // batch's snapshots and silently degrade forks into replays.
     for (Task &T : Slot->Arena) {
       S.Cache.drop(T.SnapId);
       for (const auto &[Depth, Id] : T.Snaps)
@@ -1372,13 +1253,19 @@ SchedulerMemoryStats SearchScheduler::memoryStats() const {
 
 void SearchScheduler::stop() {
   Impl &S = *I;
-  if (!S.Persistent.load(std::memory_order_acquire))
-    return;
-  S.Stopping.store(true, std::memory_order_release);
+  std::vector<std::thread> Pool;
+  {
+    // Under SubmitMu so a racing submit() either spawned the pool
+    // before this (and it is joined here) or sees Stopping and spawns
+    // none. Joined outside it: a worker's completion callback may take
+    // SubmitMu (takeResult).
+    std::lock_guard<std::mutex> Lock(S.SubmitMu);
+    S.Stopping.store(true, std::memory_order_release);
+    Pool.swap(S.Threads);
+  }
   S.wakeAllWorkers();
-  for (std::thread &T : S.Threads)
+  for (std::thread &T : Pool)
     T.join();
-  S.Threads.clear();
 }
 
 SearchResult OrderSearch::run() {
@@ -1387,6 +1274,6 @@ SearchResult OrderSearch::run() {
   Cfg.SnapshotBudget = Opts.SnapshotBudget;
   SearchScheduler Scheduler(Cfg);
   size_t Prog = Scheduler.submit(Ctx, BaseOpts, Opts);
-  Scheduler.runAll();
+  Scheduler.waitProgram(Prog);
   return Scheduler.takeResult(Prog);
 }

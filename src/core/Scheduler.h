@@ -225,22 +225,19 @@ struct SchedulerMemoryStats {
   size_t QueuedTasks = 0;      ///< tasks sitting in worker deques
 };
 
-/// The work-stealing search scheduler. Two operating modes share one
-/// implementation:
+/// The work-stealing search scheduler: one worker pool that lives as
+/// long as the scheduler. The first submit() spawns its workers (a
+/// scheduler that never searches never starts a thread); programs may
+/// then be submitted at any time, from any thread, and each completes
+/// asynchronously (the completion callback / waitProgram). The pool
+/// idles between submissions; drain() waits for every submitted
+/// program, and stop() (or the destructor) joins the workers. An
+/// AnalysisEngine keeps one scheduler across batches, so consecutive
+/// submissions amortize worker startup and share one snapshot cache;
+/// OrderSearch runs a single program on a scheduler of its own.
 ///
-///  * **One-shot** (the PR-3 interface): submit one or more programs,
-///    call runAll() once, read per-program SearchResults. Workers are
-///    spawned for the call and drained with it.
-///  * **Service** (persistent): call start() once to spawn the worker
-///    pool, then submit() programs at any time, from any thread; each
-///    program completes asynchronously (setProgramDoneCallback /
-///    waitProgram), the pool idles between submissions, and drain() /
-///    stop() end the session. This is the pool an AnalysisEngine keeps
-///    alive across batches, so consecutive submissions amortize worker
-///    startup and share one snapshot cache.
-///
-/// In both modes every committed per-program output (verdict, witness,
-/// reports, runs, dedup hits, pruned subtrees, truncation) is
+/// Every committed per-program output (verdict, witness, reports, runs,
+/// dedup hits, pruned subtrees, truncation, peak frontier) is
 /// deterministic — byte-identical to the wave engine's — regardless of
 /// job count, steal interleaving, or how submissions interleave with
 /// running programs: all cross-program sharing (worker deques, the
@@ -248,7 +245,7 @@ struct SchedulerMemoryStats {
 class SearchScheduler {
 public:
   struct Config {
-    /// Requested worker threads; 1 = run on the calling thread, 0 =
+    /// Requested worker threads, spawned at the first submit(); 0 =
     /// auto-detect std::thread::hardware_concurrency().
     unsigned Jobs = 1;
     /// Cap the pool at hardware_concurrency() (default). The search is
@@ -258,61 +255,45 @@ public:
     /// force cross-thread interleaving on small CI machines; results
     /// are worker-count-independent either way.
     bool ClampJobsToHardware = true;
-    /// LRU capacity of the shared snapshot cache.
+    /// LRU capacity of the shared snapshot cache; 0 = pure replay (no
+    /// program forks from a snapshot).
     unsigned SnapshotBudget = 1024;
   };
 
-  explicit SearchScheduler(Config Cfg);
+  /// \p OnProgramDone is invoked once per program, with its id, after
+  /// the program completed (its SearchResult is final and takeResult is
+  /// safe). It runs on a worker thread with no scheduler locks held, so
+  /// it may call back into the scheduler — including submit().
+  explicit SearchScheduler(Config Cfg,
+                           std::function<void(size_t)> OnProgramDone = {});
   ~SearchScheduler();
 
   SearchScheduler(const SearchScheduler &) = delete;
   SearchScheduler &operator=(const SearchScheduler &) = delete;
 
-  /// Registers one program's evaluation-order search. \p RootGated
+  /// Registers one program's evaluation-order search and starts it on
+  /// the pool (the first call spawns the workers). \p RootGated
   /// reproduces the driver's single-program contract: the root (policy
   /// default) run executes first, and the order search only fans out
   /// when it completed cleanly — otherwise the program finishes with
-  /// the root's outcome and no truncation is reported. A per-program
-  /// SOpts.SnapshotBudget of 0 disables forking for that program; any
-  /// nonzero capacity is supplied by Config.SnapshotBudget, since the
-  /// cache is shared across programs. Returns the program id
-  /// (submission order; also the result index).
+  /// the root's outcome and no truncation is reported. Snapshot
+  /// capacity is Config.SnapshotBudget, since the cache is shared
+  /// across programs; SOpts.SnapshotBudget and SOpts.Jobs are not read.
+  /// Returns the program id (submission order; also the result index).
   size_t submit(const AstContext &Ast, MachineOptions MOpts,
                 SearchOptions SOpts, bool RootGated = false);
 
-  /// Runs every submitted program to completion on the shared worker
-  /// pool. Call once, after all submissions (one-shot mode; mutually
-  /// exclusive with start()).
-  void runAll();
-
-  /// The finished result for \p Program (valid after runAll(), or —
-  /// in service mode — once the program completed).
+  /// The finished result for \p Program (valid once it completed).
   SearchResult takeResult(size_t Program);
 
-  /// Aggregate pool counters. In one-shot mode, valid after runAll();
-  /// in service mode, a live monotonic snapshot (callers diff two
-  /// snapshots for per-batch numbers).
+  /// Aggregate pool counters: a live monotonic snapshot (callers diff
+  /// two snapshots for per-batch numbers).
   SchedulerStats stats() const;
 
-  //===--- Service mode --------------------------------------------------===//
-
-  /// Spawns the persistent worker pool (idempotent). After start(),
-  /// submit() is allowed at any time from any thread and programs run
-  /// as they arrive; runAll() must not be used.
-  void start();
-  bool started() const;
-
-  /// Invoked once per program, with its id, after the program completed
-  /// (its SearchResult is final and takeResult is safe). Called from a
-  /// worker thread with no scheduler locks held, so the callback may
-  /// call back into the scheduler — including submit(). Set before
-  /// start().
-  void setProgramDoneCallback(std::function<void(size_t)> Fn);
-
-  /// Blocks until \p Program completed (service mode).
+  /// Blocks until \p Program completed.
   void waitProgram(size_t Program);
 
-  /// Blocks until every submitted program completed (service mode).
+  /// Blocks until every submitted program completed.
   /// The pool stays alive, idle, ready for the next submission.
   void drain();
 

@@ -63,9 +63,10 @@ struct SearchOptions {
   /// Replay budget: at most this many machine runs (including runs the
   /// dedup cancels mid-flight).
   unsigned MaxRuns = 64;
-  /// Worker threads. 1 = run in-place on the calling thread; 0 =
-  /// auto-detect std::thread::hardware_concurrency(). The verdict and
-  /// witness do not depend on this; only wall-clock does.
+  /// Worker threads of OrderSearch's scheduler (and of the reference
+  /// wave engine); 0 = auto-detect std::thread::hardware_concurrency().
+  /// The verdict and witness do not depend on this; only wall-clock
+  /// does.
   unsigned Jobs = 1;
   /// Deduplicate symmetric interleavings through configuration
   /// fingerprints. Off = pure prefix enumeration (the exhaustive
@@ -144,7 +145,9 @@ struct SearchResult {
   /// Tasks of this program taken from another worker's deque
   /// (wall-clock detail).
   unsigned Steals = 0;
-  /// Peak frontier size: the scheduler's maximum queued-task count.
+  /// Peak frontier size: the largest generation of orders the search
+  /// sealed, counted before the budget truncates it (the root
+  /// generation is 1). Deterministic, like the run counts.
   unsigned PeakFrontier = 0;
   /// True when the search ran out of budget with unexplored subtrees
   /// still on the frontier: a clean verdict is then *not* exhaustive.
@@ -175,8 +178,11 @@ struct SearchResult {
   std::vector<SearchRunRecord> Runs;
 };
 
-/// Parallel deduplicated search over evaluation orders: one program on
-/// a one-shot SearchScheduler (defined in core/Scheduler.cpp).
+/// Parallel deduplicated search over evaluation orders: run() submits
+/// one program to a SearchScheduler of its own (Opts.Jobs workers,
+/// Opts.SnapshotBudget snapshots), waits for it, and returns its result;
+/// the scheduler is stopped when run() returns. Defined in
+/// core/Scheduler.cpp.
 class OrderSearch {
 public:
   OrderSearch(const AstContext &Ctx, MachineOptions BaseOpts,

@@ -177,6 +177,16 @@ double JobHandle::wallMicros() const {
 
 namespace {
 
+/// The outcome-affecting search options of \p Req: what the result key
+/// fingerprints and what the scheduler searches with. Worker count and
+/// snapshot capacity belong to the engine's pool (EngineConfig).
+SearchOptions searchOptionsFor(const AnalysisRequest &Req) {
+  SearchOptions SO;
+  SO.MaxRuns = Req.searchRuns();
+  SO.Dedup = Req.searchDedup();
+  return SO;
+}
+
 double microsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - Start)
@@ -195,10 +205,10 @@ struct AnalysisEngine::Impl {
   }
 
   explicit Impl(EngineConfig Cfg)
-      : Cfg(Cfg), Sched(schedConfig(Cfg)), TCache(Cfg.TranslationCacheEntries),
-        RCache(Cfg.ResultCacheEntries) {
+      : Cfg(Cfg),
+        Sched(schedConfig(Cfg), [this](size_t Prog) { onProgramDone(Prog); }),
+        TCache(Cfg.TranslationCacheEntries), RCache(Cfg.ResultCacheEntries) {
     registerStandardHeaders(Headers);
-    Sched.setProgramDoneCallback([this](size_t Prog) { onProgramDone(Prog); });
   }
 
   EngineConfig Cfg;
@@ -221,7 +231,7 @@ struct AnalysisEngine::Impl {
     std::string Source;
   };
 
-  /// Guards Pending, Graveyard, Started, ShutDown, and the frontend
+  /// Guards Pending, Graveyard, ShutDown, and the frontend
   /// pool state (FeQueue, FeThreads, FeStop).
   std::mutex Mu;
   /// Pooled jobs by scheduler program id.
@@ -229,7 +239,6 @@ struct AnalysisEngine::Impl {
   /// Artifact references of completed pooled jobs, released on drain()
   /// once the pool is provably idle (see the file header).
   std::vector<CompiledProgramRef> Graveyard;
-  bool Started = false;
   bool ShutDown = false;
 
   std::deque<FrontendTask> FeQueue;
@@ -329,11 +338,8 @@ struct AnalysisEngine::Impl {
     K.Translation = TKey;
     K.HeadersFp = HeadersFp;
     K.MachineFp = machineOptionsFingerprint(Req.machine());
-    SearchOptions SO;
-    SO.MaxRuns = Req.searchRuns();
-    SO.Dedup = Req.searchDedup();
     Hasher H;
-    H.u64(searchOptionsFingerprint(SO));
+    H.u64(searchOptionsFingerprint(searchOptionsFor(Req)));
     H.u8(static_cast<uint8_t>(Req.staticAnalyze()));
     K.SearchFp = H.digest();
     return K;
@@ -469,18 +475,8 @@ struct AnalysisEngine::Impl {
     // Pooled path: the request was validated at build time (searchRuns
     // >= 1), so the root run always executes and doubles as the
     // default-order run (root gating).
-    SearchOptions SO;
-    SO.MaxRuns = Req.searchRuns();
-    SO.Jobs = Req.searchJobs();
-    SO.Dedup = Req.searchDedup();
-    SO.SnapshotBudget = Cfg.SnapshotBudget;
-
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      if (!Started) {
-        Sched.start();
-        Started = true;
-      }
       St.Artifact = Art;
       {
         std::lock_guard<std::mutex> StLock(St.Mu);
@@ -490,8 +486,8 @@ struct AnalysisEngine::Impl {
       // Holding Mu across the scheduler submit closes the race where a
       // one-worker pool finishes the program before it lands in
       // Pending: the completion callback takes Mu before its lookup.
-      size_t Prog = Sched.submit(Art->ast(), Req.machine(), SO,
-                                 /*RootGated=*/true);
+      size_t Prog = Sched.submit(Art->ast(), Req.machine(),
+                                 searchOptionsFor(Req), /*RootGated=*/true);
       Pending.emplace(Prog, Task.St);
     }
   }
@@ -668,8 +664,6 @@ void AnalysisEngine::drain() {
       return S.Outstanding.load(std::memory_order_acquire) == 0;
     });
   }
-  if (!S.Sched.started())
-    return;
   // With nothing outstanding every scheduler program is finished;
   // reclaim confirms full idleness (no cancelling stragglers), after
   // which the graveyard artifacts are provably unreferenced by any

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The service layer: a long-lived AnalysisEngine owns one persistent
-/// work-stealing worker pool (core/Scheduler.h service mode), a shared
+/// work-stealing worker pool (core/Scheduler.h), a shared
 /// snapshot cache, and two engine-wide content-addressed caches
 /// (support/ContentCache.h): compiled translation units and completed
 /// search outcomes. It runs the whole kcc pipeline — frontend

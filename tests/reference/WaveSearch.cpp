@@ -410,6 +410,7 @@ DriverOutcome cundef::reference::waveOutcome(const CompiledProgram &C,
   O.Output = M.config().Output;
   O.DynamicUb = RunSink.all();
   O.OrdersExplored = 1;
+  O.SearchPeakFrontier = 1; // the root generation
   if (!O.DynamicUb.empty() || Req.searchRuns() <= 1 ||
       O.Status != RunStatus::Completed)
     return O;

@@ -185,6 +185,8 @@ TEST(CatalogCoverage, VerdictsDeterministicAcrossSchedulers) {
     EXPECT_EQ(Ref[I].SearchWitness, O.SearchWitness) << Inputs[I].Name;
     EXPECT_EQ(Ref[I].OrdersExplored, O.OrdersExplored) << Inputs[I].Name;
     EXPECT_EQ(Ref[I].OrdersDeduped, O.OrdersDeduped) << Inputs[I].Name;
+    EXPECT_EQ(Ref[I].SearchPeakFrontier, O.SearchPeakFrontier)
+        << Inputs[I].Name;
   }
 }
 

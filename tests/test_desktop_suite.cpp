@@ -179,6 +179,7 @@ void expectIdentical(const DriverOutcome &A, const DriverOutcome &B,
   EXPECT_EQ(A.OrdersExplored, B.OrdersExplored) << Tag;
   EXPECT_EQ(A.OrdersDeduped, B.OrdersDeduped) << Tag;
   EXPECT_EQ(A.SearchTruncated, B.SearchTruncated) << Tag;
+  EXPECT_EQ(A.SearchPeakFrontier, B.SearchPeakFrontier) << Tag;
   EXPECT_EQ(A.renderReport(), B.renderReport()) << Tag;
 }
 

@@ -66,6 +66,7 @@ void expectIdentical(const DriverOutcome &A, const DriverOutcome &B,
   EXPECT_EQ(A.OrdersDeduped, B.OrdersDeduped) << Tag;
   EXPECT_EQ(A.SearchTruncated, B.SearchTruncated) << Tag;
   EXPECT_EQ(A.SearchDropped, B.SearchDropped) << Tag;
+  EXPECT_EQ(A.SearchPeakFrontier, B.SearchPeakFrontier) << Tag;
   EXPECT_EQ(A.renderReport(), B.renderReport()) << Tag;
   ASSERT_EQ(A.DynamicUb.size(), B.DynamicUb.size()) << Tag;
   for (size_t I = 0; I < A.DynamicUb.size(); ++I) {
@@ -147,11 +148,11 @@ TEST(Engine, PersistentPoolMatchesFreshBatches) {
     Cfg.Workers = Workers;
     Cfg.ClampWorkersToHardware = false;
 
-    AnalysisEngine Persistent(Cfg);
+    AnalysisEngine Reused(Cfg);
     for (int Round = 0; Round < 3; ++Round) {
       AnalysisEngine Fresh(Cfg);
       std::vector<JobHandle> Ref = Fresh.submitBatch(Req, corpus());
-      std::vector<JobHandle> Got = Persistent.submitBatch(Req, corpus());
+      std::vector<JobHandle> Got = Reused.submitBatch(Req, corpus());
       ASSERT_EQ(Ref.size(), Got.size());
       for (size_t I = 0; I < Ref.size(); ++I) {
         DriverOutcome A = Ref[I].take();
@@ -163,9 +164,35 @@ TEST(Engine, PersistentPoolMatchesFreshBatches) {
       }
       // Between batches the service reclaims search state; results of
       // the next round must not notice.
-      Persistent.drain();
+      Reused.drain();
     }
   }
+}
+
+TEST(Engine, PeakFrontierIsPerProgram) {
+  // A program's peak frontier is its own search's largest generation,
+  // not the pool's queued-task peak: a small program reports the same
+  // number on a fresh engine as after a large program on a shared one.
+  const std::string Small = "static int g(int x) { return x + 1; }\n"
+                            "int main(void) { return g(1) + g(2) > 0; }\n";
+  std::string Large = "static int g(int x) { return x + 1; }\n"
+                      "int main(void) { int t = g(0)";
+  for (int I = 1; I < 8; ++I)
+    Large += " + g(" + std::to_string(I) + ")";
+  Large += "; return t > 0 ? 0 : 1; }\n";
+  AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(5000).buildOrDie();
+  EngineConfig Cfg;
+  Cfg.Workers = 1;
+
+  AnalysisEngine Fresh(Cfg);
+  const unsigned Alone =
+      Fresh.submit(Req, Small, "small.c").take().SearchPeakFrontier;
+  AnalysisEngine Shared(Cfg);
+  const DriverOutcome LargeO = Shared.submit(Req, Large, "large.c").take();
+  const DriverOutcome SmallO = Shared.submit(Req, Small, "small.c").take();
+  EXPECT_GT(LargeO.SearchPeakFrontier, Alone);
+  EXPECT_EQ(SmallO.SearchPeakFrontier, Alone);
 }
 
 TEST(Engine, DriverFacadeMatchesDirectSubmission) {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <iterator>
 #include <thread>
 
@@ -85,8 +86,19 @@ SearchResult searchStealForced(const Driver::Compiled &C, SearchOptions SO,
   SearchScheduler Scheduler(Cfg);
   MachineOptions Opts;
   size_t Id = Scheduler.submit(C->ast(), Opts, SO);
-  Scheduler.runAll();
+  Scheduler.waitProgram(Id);
   return Scheduler.takeResult(Id);
+}
+
+/// Threads of this process (one /proc/self/task entry each on Linux);
+/// 0 where the count is unavailable.
+size_t threadCount() {
+  std::error_code EC;
+  size_t N = 0;
+  for (std::filesystem::directory_iterator It("/proc/self/task", EC), End;
+       !EC && It != End; It.increment(EC))
+    ++N;
+  return EC ? 0 : N;
 }
 
 void expectSameVerdict(const SearchResult &A, const SearchResult &B,
@@ -134,6 +146,8 @@ TEST(Scheduler, WaveVsStealingWitnessEquality) {
           EXPECT_EQ(RW.SubtreesPruned, RS.SubtreesPruned)
               << Source << " jobs=" << Jobs;
           EXPECT_EQ(RW.Waves, RS.Waves) << Source << " jobs=" << Jobs;
+          EXPECT_EQ(RW.PeakFrontier, RS.PeakFrontier)
+              << Source << " jobs=" << Jobs;
           EXPECT_EQ(RW.FrontierTruncated, RS.FrontierTruncated) << Source;
           EXPECT_EQ(RW.DroppedSubtrees, RS.DroppedSubtrees) << Source;
         }
@@ -161,6 +175,7 @@ TEST(Scheduler, WaveVsStealingTraceByteEquality) {
     SearchResult RW = waveWith(C, Wave);
     SearchResult RS = searchWith(C, Steal);
     expectSameVerdict(RW, RS, Source);
+    EXPECT_EQ(RW.PeakFrontier, RS.PeakFrontier) << Source;
     ASSERT_EQ(RW.Runs.size(), RS.Runs.size()) << Source;
     for (size_t I = 0; I < RW.Runs.size(); ++I) {
       const SearchRunRecord &W = RW.Runs[I];
@@ -211,6 +226,8 @@ TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
         EXPECT_EQ(RW.SubtreesPruned, RS.SubtreesPruned)
             << Source << " workers=" << Workers;
         EXPECT_EQ(RW.Waves, RS.Waves) << Source << " workers=" << Workers;
+        EXPECT_EQ(RW.PeakFrontier, RS.PeakFrontier)
+            << Source << " workers=" << Workers;
         ASSERT_EQ(RW.Runs.size(), RS.Runs.size())
             << Source << " workers=" << Workers;
         for (size_t I = 0; I < RW.Runs.size(); ++I) {
@@ -266,6 +283,7 @@ TEST(Scheduler, TruncationAccountingMatchesWave) {
         << "budget " << MaxRuns;
     EXPECT_EQ(RW.DroppedSubtrees, RS.DroppedSubtrees) << "budget " << MaxRuns;
     EXPECT_EQ(RW.RunsExplored, RS.RunsExplored) << "budget " << MaxRuns;
+    EXPECT_EQ(RW.PeakFrontier, RS.PeakFrontier) << "budget " << MaxRuns;
   }
 }
 
@@ -292,6 +310,113 @@ TEST(Scheduler, RandomPolicyAndDeclarativeStyleStillWork) {
   SearchResult R = Search.run();
   EXPECT_TRUE(R.UbFound);
   EXPECT_EQ(R.ForkedRuns, 0u) << "declarative style must not snapshot";
+}
+
+//===----------------------------------------------------------------------===//
+// Pool lifecycle.
+//===----------------------------------------------------------------------===//
+
+TEST(Scheduler, PoolSpawnsAtFirstSubmit) {
+  // Constructing (and destroying) a scheduler that never searches
+  // starts no thread; the first submit() starts all its workers.
+  const size_t Before = threadCount();
+  if (Before == 0)
+    GTEST_SKIP() << "thread count unavailable on this platform";
+  SearchScheduler::Config Cfg;
+  Cfg.Jobs = 4;
+  Cfg.ClampJobsToHardware = false;
+  { SearchScheduler Idle(Cfg); }
+  EXPECT_EQ(threadCount(), Before);
+  // Nor does a Driver that only compiles (its engine owns a scheduler).
+  Driver Drv;
+  Driver::Compiled C = Drv.compile(Corpus[0], "spawn.c");
+  ASSERT_TRUE(C->ok());
+  EXPECT_EQ(threadCount(), Before);
+
+  SearchScheduler Sched(Cfg);
+  size_t Id = Sched.submit(C->ast(), MachineOptions(), SearchOptions());
+  EXPECT_EQ(threadCount(), Before + 4);
+  Sched.waitProgram(Id);
+  EXPECT_TRUE(Sched.takeResult(Id).UbFound);
+}
+
+TEST(Scheduler, ProgramAfterReclaimMatchesFreshScheduler) {
+  // A program submitted after the pool finished and reclaimed an
+  // earlier one must commit exactly what a fresh scheduler commits:
+  // nothing of the first search (visited set, snapshots, counters)
+  // leaks into the second.
+  Driver Drv;
+  Driver::Compiled First = Drv.compile(Corpus[0], "first.c");
+  Driver::Compiled Second = Drv.compile(Corpus[4], "second.c");
+  ASSERT_TRUE(First->ok() && Second->ok());
+  SearchOptions SO;
+  SO.MaxRuns = 256;
+  SO.CollectRuns = true;
+  for (unsigned Workers : {1u, 4u}) {
+    SearchScheduler::Config Cfg;
+    Cfg.Jobs = Workers;
+    Cfg.ClampJobsToHardware = false;
+    SearchScheduler Sched(Cfg);
+    size_t A = Sched.submit(First->ast(), MachineOptions(), SO);
+    Sched.waitProgram(A);
+    EXPECT_TRUE(Sched.takeResult(A).UbFound);
+    Sched.drain();
+    ASSERT_TRUE(Sched.reclaimFinished());
+    EXPECT_EQ(Sched.memoryStats().RetainedPrograms, 0u);
+
+    size_t B = Sched.submit(Second->ast(), MachineOptions(), SO);
+    Sched.waitProgram(B);
+    SearchResult Got = Sched.takeResult(B);
+    SearchResult Ref = searchStealForced(Second, SO, Workers);
+    const std::string Tag = "workers=" + std::to_string(Workers);
+    expectSameVerdict(Ref, Got, Tag.c_str());
+    EXPECT_EQ(Ref.RunsExplored, Got.RunsExplored) << Tag;
+    EXPECT_EQ(Ref.DedupHits, Got.DedupHits) << Tag;
+    EXPECT_EQ(Ref.SubtreesPruned, Got.SubtreesPruned) << Tag;
+    EXPECT_EQ(Ref.Waves, Got.Waves) << Tag;
+    EXPECT_EQ(Ref.PeakFrontier, Got.PeakFrontier) << Tag;
+    EXPECT_EQ(Ref.FrontierTruncated, Got.FrontierTruncated) << Tag;
+    EXPECT_EQ(Ref.DroppedSubtrees, Got.DroppedSubtrees) << Tag;
+    EXPECT_EQ(Ref.RootStatus, Got.RootStatus) << Tag;
+    EXPECT_EQ(Ref.RootOutput, Got.RootOutput) << Tag;
+    EXPECT_EQ(Ref.RootExitCode, Got.RootExitCode) << Tag;
+    ASSERT_EQ(Ref.Runs.size(), Got.Runs.size()) << Tag;
+    for (size_t I = 0; I < Ref.Runs.size(); ++I) {
+      EXPECT_EQ(Ref.Runs[I].Pinned, Got.Runs[I].Pinned) << Tag << " run " << I;
+      EXPECT_EQ(Ref.Runs[I].Trace, Got.Runs[I].Trace) << Tag << " run " << I;
+      EXPECT_EQ(Ref.Runs[I].FpStream, Got.Runs[I].FpStream)
+          << Tag << " run " << I;
+      EXPECT_EQ(Ref.Runs[I].Status, Got.Runs[I].Status) << Tag << " run " << I;
+      EXPECT_EQ(Ref.Runs[I].DedupAborted, Got.Runs[I].DedupAborted)
+          << Tag << " run " << I;
+    }
+  }
+}
+
+TEST(Scheduler, OrderSearchMatchesDriver) {
+  // OrderSearch (its own scheduler) and the engine behind
+  // Driver::runSource (a shared, root-gated pool) commit the same
+  // search: for a clean program, and for one undefined only on a
+  // non-default order.
+  for (const char *Source : {Corpus[4], Corpus[0]}) {
+    Driver Drv(AnalysisRequest::Builder().searchRuns(256).buildOrDie());
+    DriverOutcome O = Drv.runSource(Source, "search.c");
+    Driver::Compiled C = Drv.compile(Source, "search.c");
+    ASSERT_TRUE(C->ok());
+    EXPECT_EQ(O.anyUb(), Source == Corpus[0]) << Source;
+    EXPECT_EQ(O.anyUb(), !O.SearchWitness.empty()) << Source;
+    for (unsigned Jobs : {1u, 4u}) {
+      SearchOptions SO;
+      SO.MaxRuns = 256;
+      SO.Jobs = Jobs;
+      SearchResult R = searchWith(C, SO);
+      EXPECT_EQ(O.SearchWitness, R.Witness) << Source << " jobs=" << Jobs;
+      EXPECT_EQ(O.OrdersExplored, R.RunsExplored)
+          << Source << " jobs=" << Jobs;
+      EXPECT_EQ(O.OrdersDeduped, R.DedupHits + R.SubtreesPruned)
+          << Source << " jobs=" << Jobs;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

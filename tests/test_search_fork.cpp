@@ -428,6 +428,7 @@ TEST(ForkSearch, FullRehashSearchMatchesIncremental) {
                                             /*FullRehash=*/true);
     expectSameVerdict(RI, RO, Source);
     EXPECT_EQ(RI.DedupHits, RO.DedupHits) << Source;
+    EXPECT_EQ(RI.PeakFrontier, RO.PeakFrontier) << Source;
     ASSERT_EQ(RI.Runs.size(), RO.Runs.size()) << Source;
     for (size_t I = 0; I < RI.Runs.size(); ++I)
       EXPECT_EQ(RI.Runs[I].FpStream, RO.Runs[I].FpStream)

@@ -56,6 +56,7 @@ void expectIdentical(const DriverOutcome &A, const DriverOutcome &B,
   EXPECT_EQ(A.OrdersDeduped, B.OrdersDeduped) << Tag;
   EXPECT_EQ(A.SearchTruncated, B.SearchTruncated) << Tag;
   EXPECT_EQ(A.SearchDropped, B.SearchDropped) << Tag;
+  EXPECT_EQ(A.SearchPeakFrontier, B.SearchPeakFrontier) << Tag;
   EXPECT_EQ(A.renderReport(), B.renderReport()) << Tag;
   ASSERT_EQ(A.DynamicUb.size(), B.DynamicUb.size()) << Tag;
   for (size_t I = 0; I < A.DynamicUb.size(); ++I) {

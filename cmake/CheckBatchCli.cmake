@@ -35,6 +35,11 @@ endif()
 if(NOT ERR MATCHES "batch_ub.c: UNDEFINED" OR NOT ERR MATCHES "batch_ok.c: clean")
   message(FATAL_ERROR "kcc batch: missing per-program verdict lines: ${ERR}")
 endif()
+# Neither file opens with #include, so the header-prefix cache was
+# never consulted.
+if(NOT ERR MATCHES "Header prefix: hits=0 joins=0 misses=0 evictions=0")
+  message(FATAL_ERROR "kcc batch: header-prefix line missing or moved: ${ERR}")
+endif()
 
 # All clean: exit 0.
 execute_process(

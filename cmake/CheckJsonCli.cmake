@@ -230,4 +230,30 @@ foreach(E ${EVICTIONS})
   endif()
 endforeach()
 
+# The header-prefix counters: N units that open with the same include
+# list preprocess it once (one miss) and replay or join it N-1 times; a
+# unit with no leading #include looks nothing up.
+set(PREFIX_FILES "")
+foreach(I RANGE 1 4)
+  set(F ${WORKDIR}/json_prefix_${I}.c)
+  file(WRITE ${F} "#include <stdio.h>\n#include <stdlib.h>\nint main(void) { printf(\"%d\\n\", ${I}); return EXIT_SUCCESS; }\n")
+  list(APPEND PREFIX_FILES ${F})
+endforeach()
+set(NOINC_C ${WORKDIR}/json_prefix_none.c)
+file(WRITE ${NOINC_C} "int main(void) { return 0; }\n")
+execute_process(
+  COMMAND ${KCC} --json --search=8 ${PREFIX_FILES} ${NOINC_C}
+  RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "kcc --json (header prefix): expected exit 0, got ${RC}: ${ERR}")
+endif()
+foreach(KEY lookups hits inflight_joins misses abandoned)
+  string(JSON V_${KEY} GET "${OUT}" header_prefix ${KEY})
+endforeach()
+math(EXPR SERVED "${V_hits} + ${V_inflight_joins}")
+if(NOT V_lookups EQUAL 4 OR NOT V_misses EQUAL 1 OR NOT SERVED EQUAL 3
+   OR NOT V_abandoned EQUAL 0)
+  message(FATAL_ERROR "kcc --json (header prefix): expected lookups 4, misses 1, hits + inflight_joins 3, abandoned 0; got ${V_lookups}, ${V_misses}, ${SERVED}, ${V_abandoned}: ${OUT}")
+endif()
+
 message(STATUS "kcc --json behaves as documented")

@@ -142,7 +142,8 @@ cundef::renderJsonDocument(const std::vector<JsonProgram> &Programs,
                            const SchedulerStats &Pool,
                            const TranslationCacheStats &TCache,
                            const ResultCacheStats &RCache, double WallMs,
-                           int ExitCode) {
+                           int ExitCode,
+                           const HeaderPrefixStats &HeaderPrefix) {
   std::string Out;
   Out += "{\n";
   Out += "  \"schema\": \"cundef-kcc-v1\",\n";
@@ -167,6 +168,11 @@ cundef::renderJsonDocument(const std::vector<JsonProgram> &Programs,
   Out += "  },\n";
   Out += "  \"result_cache\": {\n";
   appendJsonCounters(Out, RCache, "    ", false);
+  Out += "  },\n";
+  // Units whose leading #include run was replayed (hits) or computed
+  // (misses); units with no leading #include look nothing up.
+  Out += "  \"header_prefix\": {\n";
+  appendJsonCounters(Out, HeaderPrefix, "    ", false);
   Out += "  }\n";
   Out += "}\n";
   return Out;

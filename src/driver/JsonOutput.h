@@ -85,15 +85,17 @@ struct JsonProgram {
 /// Renders the whole `cundef-kcc-v1` document: programs (each with its
 /// `compile` block — translation/result cache hit flags,
 /// frontend/search micros), the shared pool counters plus the engine's
-/// translation-cache and result-cache counters, and the process exit
-/// code the verdicts imply (139 if any program is undefined, else 1 if
-/// any failed to compile, else the single program's exit code / 0 for
+/// translation-cache and result-cache counters, the header registry's
+/// prefix-cache counters (`header_prefix`), and the process exit code
+/// the verdicts imply (139 if any program is undefined, else 1 if any
+/// failed to compile, else the single program's exit code / 0 for
 /// batches).
 std::string renderJsonDocument(const std::vector<JsonProgram> &Programs,
                                const SchedulerStats &Pool,
                                const TranslationCacheStats &TCache,
                                const ResultCacheStats &RCache, double WallMs,
-                               int ExitCode);
+                               int ExitCode,
+                               const HeaderPrefixStats &HeaderPrefix = {});
 
 } // namespace cundef
 

@@ -207,7 +207,7 @@ bool RemoteClient::receive(RemoteMessage &Msg, std::string &Err,
       return false;
     }
     return parseStats(*S, Msg.Pool, Msg.Memory, Msg.Translation, Msg.ResultC,
-                      Err);
+                      Msg.HeaderPrefix, Err);
   }
   // Unknown frame types pass through undecoded: additions to the
   // protocol must not break older clients (the schema lineage rule).
@@ -258,7 +258,9 @@ bool RemoteClient::runBatch(const AnalysisRequest &Req,
 
 bool RemoteClient::queryStats(SchedulerStats &Pool, EngineMemoryStats &Memory,
                               TranslationCacheStats &Translation,
-                              ResultCacheStats &ResultC, std::string &Err) {
+                              ResultCacheStats &ResultC,
+                              HeaderPrefixStats &HeaderPrefix,
+                              std::string &Err) {
   LastErrorCode.clear();
   if (!send(statsFrame(0), Err))
     return false;
@@ -278,6 +280,7 @@ bool RemoteClient::queryStats(SchedulerStats &Pool, EngineMemoryStats &Memory,
     Memory = Msg.Memory;
     Translation = Msg.Translation;
     ResultC = Msg.ResultC;
+    HeaderPrefix = Msg.HeaderPrefix;
     return true;
   }
 }

@@ -67,6 +67,7 @@ struct RemoteMessage {
   EngineMemoryStats Memory;
   TranslationCacheStats Translation;
   ResultCacheStats ResultC;
+  HeaderPrefixStats HeaderPrefix;
 };
 
 /// A blocking connection to one kcc-serve daemon. Not thread-safe; one
@@ -109,7 +110,8 @@ public:
   /// remote kcc reports them).
   bool queryStats(SchedulerStats &Pool, EngineMemoryStats &Memory,
                   TranslationCacheStats &Translation,
-                  ResultCacheStats &ResultC, std::string &Err);
+                  ResultCacheStats &ResultC, HeaderPrefixStats &HeaderPrefix,
+                  std::string &Err);
 
   /// The serveerr::* code of the last structured rejection runBatch()
   /// or queryStats() saw (empty when the failure was transport-level).

@@ -433,7 +433,8 @@ bool cundef::parseOutcome(const JsonValue &V, DriverOutcome &Out,
 std::string cundef::serializeStats(const SchedulerStats &Pool,
                                    const EngineMemoryStats &Memory,
                                    const TranslationCacheStats &Translation,
-                                   const ResultCacheStats &ResultC) {
+                                   const ResultCacheStats &ResultC,
+                                   const HeaderPrefixStats &HeaderPrefix) {
   std::string Out = "{\"pool\":{";
   appendWireCounters(Out, Pool);
   Out += "},\"memory\":{";
@@ -442,6 +443,8 @@ std::string cundef::serializeStats(const SchedulerStats &Pool,
   appendWireCounters(Out, Translation);
   Out += "},\"result_cache\":{";
   appendWireCounters(Out, ResultC);
+  Out += "},\"header_prefix\":{";
+  appendWireCounters(Out, HeaderPrefix);
   Out += "}}";
   return Out;
 }
@@ -449,7 +452,8 @@ std::string cundef::serializeStats(const SchedulerStats &Pool,
 bool cundef::parseStats(const JsonValue &V, SchedulerStats &Pool,
                         EngineMemoryStats &Memory,
                         TranslationCacheStats &Translation,
-                        ResultCacheStats &ResultC, std::string &Err) {
+                        ResultCacheStats &ResultC,
+                        HeaderPrefixStats &HeaderPrefix, std::string &Err) {
   const JsonValue *P = V.get("pool");
   const JsonValue *M = V.get("memory");
   const JsonValue *T = V.get("translation");
@@ -464,6 +468,10 @@ bool cundef::parseStats(const JsonValue &V, SchedulerStats &Pool,
   readWireCounters(*M, Memory);
   readWireCounters(*T, Translation);
   readWireCounters(*R, ResultC);
+  // Optional: a daemon older than the prefix cache sends none.
+  HeaderPrefix = HeaderPrefixStats();
+  if (const JsonValue *H = V.get("header_prefix"); H && H->isObject())
+    readWireCounters(*H, HeaderPrefix);
   return true;
 }
 
@@ -525,8 +533,11 @@ std::string cundef::finishedFrame(uint64_t Id, const DriverOutcome &Outcome,
 std::string cundef::statsResultFrame(uint64_t Id, const SchedulerStats &Pool,
                                      const EngineMemoryStats &Memory,
                                      const TranslationCacheStats &Translation,
-                                     const ResultCacheStats &ResultC) {
-  return strFormat("{\"type\":\"stats_result\",\"id\":%llu,\"stats\":%s}",
-                   static_cast<unsigned long long>(Id),
-                   serializeStats(Pool, Memory, Translation, ResultC).c_str());
+                                     const ResultCacheStats &ResultC,
+                                     const HeaderPrefixStats &HeaderPrefix) {
+  return strFormat(
+      "{\"type\":\"stats_result\",\"id\":%llu,\"stats\":%s}",
+      static_cast<unsigned long long>(Id),
+      serializeStats(Pool, Memory, Translation, ResultC, HeaderPrefix)
+          .c_str());
 }

@@ -112,14 +112,17 @@ bool parseFindings(const JsonValue &V, std::vector<UbReport> &Out,
 
 /// Engine stats <-> JSON (the `stats_result` frame body: the over-the-
 /// wire rendering of AnalysisEngine::poolStats() / memoryStats() /
-/// translationStats() / resultCacheStats()).
+/// translationStats() / resultCacheStats() and the header registry's
+/// prefixStats()). A body without header_prefix reads it as zeros.
 std::string serializeStats(const SchedulerStats &Pool,
                            const EngineMemoryStats &Memory,
                            const TranslationCacheStats &Translation,
-                           const ResultCacheStats &ResultC);
+                           const ResultCacheStats &ResultC,
+                           const HeaderPrefixStats &HeaderPrefix);
 bool parseStats(const JsonValue &V, SchedulerStats &Pool,
                 EngineMemoryStats &Memory, TranslationCacheStats &Translation,
-                ResultCacheStats &ResultC, std::string &Err);
+                ResultCacheStats &ResultC, HeaderPrefixStats &HeaderPrefix,
+                std::string &Err);
 
 //===----------------------------------------------------------------------===//
 // Whole frames
@@ -144,7 +147,8 @@ std::string finishedFrame(uint64_t Id, const DriverOutcome &Outcome,
 std::string statsResultFrame(uint64_t Id, const SchedulerStats &Pool,
                              const EngineMemoryStats &Memory,
                              const TranslationCacheStats &Translation,
-                             const ResultCacheStats &ResultC);
+                             const ResultCacheStats &ResultC,
+                             const HeaderPrefixStats &HeaderPrefix);
 
 } // namespace cundef
 

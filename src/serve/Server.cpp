@@ -266,7 +266,8 @@ struct ServeDaemon::Impl final : EngineSink {
     } else if (Type == "stats") {
       queueFrame(C, statsResultFrame(Id, Eng.poolStats(), Eng.memoryStats(),
                                      Eng.translationStats(),
-                                     Eng.resultCacheStats()));
+                                     Eng.resultCacheStats(),
+                                     Eng.headers().prefixStats()));
     } else {
       protocolError(C, Id, "unknown message type '" + Type + "'");
     }

@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine's one cache, instantiated twice: compiled translation
-/// units by TranslationKey (frontend/CompiledProgram.h) and completed
-/// search outcomes by the engine's result key (driver/Engine.cpp).
+/// The one cache class, instantiated three times: compiled translation
+/// units by TranslationKey (frontend/CompiledProgram.h), completed
+/// search outcomes by the engine's result key (driver/Engine.cpp), and
+/// preprocessed leading #include runs by HeaderPrefixKey
+/// (text/Preprocessor.h, owned by the header registry).
 /// Values are immutable and shared (`std::shared_ptr<const T>`); equal
 /// keys mean interchangeable values by construction, so the cache never
 /// validates.

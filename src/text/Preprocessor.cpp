@@ -175,6 +175,37 @@ private:
 
 } // namespace
 
+uint64_t HeaderRegistry::digest() const {
+  Hasher H;
+  H.u64(Files.size());
+  for (const auto &[Name, Content] : Files) {
+    H.str(Name);
+    H.str(Content);
+  }
+  return H.digest();
+}
+
+namespace cundef {
+
+/// The preprocessor's state after a leading #include run, with every
+/// symbol rewritten to a snapshot-local one: local symbol I names
+/// Names[I - 1] (0 stays NoSymbol), so a replay can intern the names
+/// into any unit's interner and remap.
+struct HeaderPrefixSnapshot {
+  /// Every name the run lexed or created, in first-seen order, then
+  /// the other names its macro table mentions (the predefined macros',
+  /// which every unit under the same key has interned already).
+  std::vector<std::string> Names;
+  /// The run's output tokens, keyword-promoted.
+  std::vector<Token> Tokens;
+  std::vector<std::pair<Symbol, MacroDef>> Macros;
+  uint32_t NextFileId = 0;
+  /// The (file id, name) registrations the run made, in order.
+  std::vector<std::pair<uint32_t, std::string>> Files;
+};
+
+} // namespace cundef
+
 Preprocessor::Preprocessor(StringInterner &Interner, DiagnosticEngine &Diags,
                            const HeaderRegistry &Headers)
     : Interner(Interner), Diags(Diags), Headers(Headers) {
@@ -206,8 +237,13 @@ uint32_t Preprocessor::lexBuffer(const std::string &Source,
   uint32_t FileId = NextFileId++;
   Diags.registerFile(FileId, Name);
   Lexer Lex(Source, FileId, Interner, Diags);
-  for (Token T = Lex.next(); T.isNot(TokenKind::Eof); T = Lex.next())
+  for (Token T = Lex.next(); T.isNot(TokenKind::Eof); T = Lex.next()) {
+    if (Recording && T.is(TokenKind::Identifier))
+      Recording->Names.push_back(T.Sym);
     Out.push_back(T);
+  }
+  if (Recording)
+    Recording->Files.emplace_back(FileId, Name);
   return FileId;
 }
 
@@ -217,8 +253,10 @@ std::vector<Token> Preprocessor::run(const std::string &Source,
   uint32_t FileId = lexBuffer(Source, FileName, Raw);
   CurrentFileName = FileName;
   std::vector<Token> Out;
-  processTokens(Raw, Out, /*IncludeDepth=*/0);
-  promoteKeywords(Out);
+  size_t Promoted = 0;
+  size_t Resume = processIncludePrefix(Raw, FileId, Out, Promoted);
+  processTokens(Raw, Out, /*IncludeDepth=*/0, Resume);
+  promoteKeywords(Out, Promoted);
   Token Eof;
   Eof.Kind = TokenKind::Eof;
   if (!Out.empty())
@@ -237,9 +275,162 @@ size_t Preprocessor::lineEnd(const std::vector<Token> &Toks,
   return End;
 }
 
-void Preprocessor::processTokens(const std::vector<Token> &Toks,
-                                 std::vector<Token> &Out, int IncludeDepth) {
+size_t Preprocessor::processIncludePrefix(const std::vector<Token> &Raw,
+                                          uint32_t FileId,
+                                          std::vector<Token> &Out,
+                                          size_t &Promoted) {
+  std::vector<std::string> Names;
+  const size_t Boundary = includePrefixEnd(Raw, Names);
+  if (Boundary == 0)
+    return 0;
+  const HeaderPrefixKey Key = prefixKey(Names, FileId);
+  auto &Cache = Headers.PrefixCache;
+  auto Claim = Cache.begin(Key, nullptr);
+  using Kind = decltype(Claim.K);
+  if (Claim.K == Kind::Hit) {
+    replayPrefix(*Claim.Ready, Out);
+    Promoted = Out.size();
+    return Boundary;
+  }
+  // Owner, or Joined (another unit is computing the key right now):
+  // run the lines as processTokens would. Only the owner records and
+  // publishes, and only a run that emitted no diagnostic.
+  PrefixRecording Rec;
+  const bool Owner = Claim.K == Kind::Owner;
+  if (Owner)
+    Recording = &Rec;
+  const size_t DiagsBefore = Diags.all().size();
+  try {
+    for (size_t I = 0; I < Boundary;)
+      I = processDirective(Raw, I, Out, /*IncludeDepth=*/0);
+  } catch (...) {
+    Recording = nullptr;
+    if (Owner)
+      Cache.publish(Key, nullptr);
+    throw;
+  }
+  Recording = nullptr;
+  if (Owner)
+    Cache.publish(Key, Diags.all().size() == DiagsBefore
+                           ? capturePrefix(Out, Rec)
+                           : nullptr);
+  return Boundary;
+}
+
+size_t Preprocessor::includePrefixEnd(const std::vector<Token> &Raw,
+                                      std::vector<std::string> &Names) const {
   size_t I = 0;
+  while (I + 1 < Raw.size() && Raw[I].is(TokenKind::Hash) &&
+         Raw[I].AtLineStart && Raw[I + 1].is(TokenKind::Identifier) &&
+         !Raw[I + 1].AtLineStart && Interner.str(Raw[I + 1].Sym) == "include") {
+    size_t End = lineEnd(Raw, I);
+    std::string Name;
+    if (!includeTarget(Raw, I + 2, End, Name) || !Headers.find(Name))
+      break;
+    Names.push_back(std::move(Name));
+    I = End;
+  }
+  return I;
+}
+
+namespace {
+
+void hashToken(Hasher &H, const Token &T, const StringInterner &Interner) {
+  H.u8(static_cast<uint8_t>(T.Kind));
+  H.u32(T.Loc.File);
+  H.u32(T.Loc.Line);
+  H.u32(T.Loc.Col);
+  H.str(Interner.str(T.Sym));
+  H.str(T.Text);
+  H.u8(static_cast<uint8_t>(T.AtLineStart | T.LeadingSpace << 1));
+}
+
+} // namespace
+
+HeaderPrefixKey
+Preprocessor::prefixKey(const std::vector<std::string> &Names,
+                        uint32_t FileId) const {
+  Hasher Ctx;
+  Ctx.u64(Headers.fingerprint());
+  Ctx.u32(FileId);
+  Ctx.u64(Macros.size());
+  for (const auto &[Sym, Def] : Macros) {
+    Ctx.str(Interner.str(Sym));
+    Ctx.u8(static_cast<uint8_t>(Def.FunctionLike | Def.Variadic << 1));
+    Ctx.u64(Def.Params.size());
+    for (Symbol P : Def.Params)
+      Ctx.str(Interner.str(P));
+    Ctx.u64(Def.Body.size());
+    for (const Token &T : Def.Body)
+      hashToken(Ctx, T, Interner);
+  }
+  Hasher Includes;
+  Includes.u64(Names.size());
+  for (const std::string &Name : Names)
+    Includes.str(Name);
+  return {Ctx.digest(), Includes.digest()};
+}
+
+std::shared_ptr<const HeaderPrefixSnapshot>
+Preprocessor::capturePrefix(const std::vector<Token> &Out,
+                            const PrefixRecording &Rec) const {
+  auto Snap = std::make_shared<HeaderPrefixSnapshot>();
+  std::vector<Symbol> Local(Interner.size(), NoSymbol);
+  auto LocalOf = [&](Symbol Sym) -> Symbol {
+    if (Sym != NoSymbol && Local[Sym] == NoSymbol) {
+      Snap->Names.push_back(Interner.str(Sym));
+      Local[Sym] = static_cast<Symbol>(Snap->Names.size());
+    }
+    return Local[Sym];
+  };
+  for (Symbol Sym : Rec.Names)
+    LocalOf(Sym);
+  Snap->Tokens = Out;
+  promoteKeywords(Snap->Tokens);
+  for (Token &T : Snap->Tokens)
+    T.Sym = LocalOf(T.Sym);
+  Snap->Macros.reserve(Macros.size());
+  for (const auto &[Sym, Def] : Macros) {
+    MacroDef Copy = Def;
+    for (Symbol &P : Copy.Params)
+      P = LocalOf(P);
+    for (Token &T : Copy.Body)
+      T.Sym = LocalOf(T.Sym);
+    Snap->Macros.emplace_back(LocalOf(Sym), std::move(Copy));
+  }
+  Snap->NextFileId = NextFileId;
+  Snap->Files = Rec.Files;
+  return Snap;
+}
+
+void Preprocessor::replayPrefix(const HeaderPrefixSnapshot &Snap,
+                                std::vector<Token> &Out) {
+  std::vector<Symbol> Remap;
+  Remap.reserve(Snap.Names.size() + 1);
+  Remap.push_back(NoSymbol);
+  for (const std::string &Name : Snap.Names)
+    Remap.push_back(Interner.intern(Name));
+  const size_t Base = Out.size();
+  Out.insert(Out.end(), Snap.Tokens.begin(), Snap.Tokens.end());
+  for (size_t I = Base; I < Out.size(); ++I)
+    Out[I].Sym = Remap[Out[I].Sym];
+  Macros.clear();
+  for (const auto &[Sym, Def] : Snap.Macros) {
+    MacroDef &Copy = Macros[Remap[Sym]] = Def;
+    for (Symbol &P : Copy.Params)
+      P = Remap[P];
+    for (Token &T : Copy.Body)
+      T.Sym = Remap[T.Sym];
+  }
+  for (const auto &[Id, Name] : Snap.Files)
+    Diags.registerFile(Id, Name);
+  NextFileId = Snap.NextFileId;
+}
+
+void Preprocessor::processTokens(const std::vector<Token> &Toks,
+                                 std::vector<Token> &Out, int IncludeDepth,
+                                 size_t Begin) {
+  size_t I = Begin;
   std::vector<Token> Run; // ordinary tokens awaiting expansion
   auto FlushRun = [&] {
     if (Run.empty())
@@ -364,13 +555,7 @@ size_t Preprocessor::processDirective(const std::vector<Token> &Toks,
       return End;
     }
     std::string HeaderName;
-    if (!Line.empty() && Line[0].is(TokenKind::StringLiteral)) {
-      HeaderName = Line[0].Text;
-    } else if (!Line.empty() && Line[0].is(TokenKind::Less)) {
-      for (size_t I = 1; I < Line.size() && Line[I].isNot(TokenKind::Greater);
-           ++I)
-        HeaderName += spellingOf(Line[I]);
-    } else {
+    if (!includeTarget(Toks, HashIdx + 2, End, HeaderName)) {
       Diags.error(Loc, "expected \"FILE\" or <FILE> after #include");
       return End;
     }
@@ -432,6 +617,21 @@ size_t Preprocessor::processDirective(const std::vector<Token> &Toks,
 
   Diags.error(Loc, strFormat("unknown directive #%s", Name.c_str()));
   return End;
+}
+
+bool Preprocessor::includeTarget(const std::vector<Token> &Toks, size_t Begin,
+                                 size_t End, std::string &Name) const {
+  if (Begin < End && Toks[Begin].is(TokenKind::StringLiteral)) {
+    Name = Toks[Begin].Text;
+    return true;
+  }
+  if (Begin < End && Toks[Begin].is(TokenKind::Less)) {
+    for (size_t I = Begin + 1; I < End && Toks[I].isNot(TokenKind::Greater);
+         ++I)
+      Name += spellingOf(Toks[I]);
+    return true;
+  }
+  return false;
 }
 
 size_t Preprocessor::dispatchConditionalContinuation(
@@ -525,6 +725,8 @@ bool Preprocessor::relexPasted(const std::string &Text, SourceLoc Loc,
   if (Scratch.hasErrors() || First.is(TokenKind::Eof) ||
       Second.isNot(TokenKind::Eof))
     return false;
+  if (Recording && First.is(TokenKind::Identifier))
+    Recording->Names.push_back(First.Sym);
   First.Loc = Loc;
   Out = First;
   return true;
@@ -716,7 +918,8 @@ void Preprocessor::expandInto(const std::vector<Token> &In,
   }
 }
 
-void Preprocessor::promoteKeywords(std::vector<Token> &Toks) const {
+void Preprocessor::promoteKeywords(std::vector<Token> &Toks,
+                                   size_t Begin) const {
   static const std::unordered_map<std::string, TokenKind> Keywords = {
       {"break", TokenKind::KwBreak},       {"case", TokenKind::KwCase},
       {"char", TokenKind::KwChar},         {"const", TokenKind::KwConst},
@@ -736,7 +939,8 @@ void Preprocessor::promoteKeywords(std::vector<Token> &Toks) const {
       {"void", TokenKind::KwVoid},         {"volatile", TokenKind::KwVolatile},
       {"while", TokenKind::KwWhile},       {"_Bool", TokenKind::KwBool},
   };
-  for (Token &T : Toks) {
+  for (size_t I = Begin; I < Toks.size(); ++I) {
+    Token &T = Toks[I];
     if (T.isNot(TokenKind::Identifier))
       continue;
     auto It = Keywords.find(Interner.str(T.Sym));

@@ -292,6 +292,14 @@ const char *const Golden = R"JSON({
     "misses": 3003,
     "evictions": 3005,
     "abandoned": 3006
+  },
+  "header_prefix": {
+    "lookups": 4001,
+    "hits": 4002,
+    "inflight_joins": 4004,
+    "misses": 4003,
+    "evictions": 4005,
+    "abandoned": 4006
   }
 }
 )JSON";
@@ -315,12 +323,19 @@ TEST(JsonOutput, DocumentMatchesGolden) {
   R.InflightJoins = 3004;
   R.Evictions = 3005;
   R.Abandoned = 3006;
+  HeaderPrefixStats H;
+  H.Lookups = 4001;
+  H.Hits = 4002;
+  H.Misses = 4003;
+  H.InflightJoins = 4004;
+  H.Evictions = 4005;
+  H.Abandoned = 4006;
   const std::string Doc = renderJsonDocument(
       {{&Ub, "ub.c", 11.5, "on"},
        {&Bad, "bad.c", 12.25, "off"},
        {&Clean, "clean.c", 13.0, "only"},
        {&Internal, "nomain.c", 14.75, "on"}},
-      distinctPool(), T, R, 15.5, 139);
+      distinctPool(), T, R, 15.5, 139, H);
   EXPECT_EQ(Doc, Golden);
 }
 
@@ -360,6 +375,14 @@ TEST(JsonOutput, EmptyBatchMatchesGolden) {
     "abandoned": 0
   },
   "result_cache": {
+    "lookups": 0,
+    "hits": 0,
+    "inflight_joins": 0,
+    "misses": 0,
+    "evictions": 0,
+    "abandoned": 0
+  },
+  "header_prefix": {
     "lookups": 0,
     "hits": 0,
     "inflight_joins": 0,

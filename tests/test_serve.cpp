@@ -462,12 +462,14 @@ TEST(ServeProtocol, StatsRoundtrip) {
   EngineMemoryStats M;
   TranslationCacheStats T;
   ResultCacheStats R;
+  HeaderPrefixStats H;
   fillDistinct(P, Next);
   fillDistinct(M, Next);
   fillDistinct(T, Next);
   fillDistinct(R, Next);
+  fillDistinct(H, Next);
 
-  std::string Json = serializeStats(P, M, T, R);
+  std::string Json = serializeStats(P, M, T, R, H);
   JsonValue V;
   std::string Err;
   ASSERT_TRUE(JsonValue::parse(Json, V, Err)) << Err;
@@ -475,11 +477,13 @@ TEST(ServeProtocol, StatsRoundtrip) {
   EngineMemoryStats M2;
   TranslationCacheStats T2;
   ResultCacheStats R2;
-  ASSERT_TRUE(parseStats(V, P2, M2, T2, R2, Err)) << Err;
+  HeaderPrefixStats H2;
+  ASSERT_TRUE(parseStats(V, P2, M2, T2, R2, H2, Err)) << Err;
   expectSameCounters(P, P2);
   expectSameCounters(M, M2);
   expectSameCounters(T, T2);
   expectSameCounters(R, R2);
+  expectSameCounters(H, H2);
 }
 
 TEST(ServeProtocol, OutcomeCountersRoundtrip) {
@@ -512,7 +516,10 @@ TEST(ServeProtocol, StatsDecoderIgnoresRetiredSharedHitsField) {
   EngineMemoryStats M;
   TranslationCacheStats T;
   ResultCacheStats R;
-  ASSERT_TRUE(parseStats(V, P, M, T, R, Err)) << Err;
+  HeaderPrefixStats H;
+  H.Hits = 9; // a body without header_prefix must read it as zeros
+  ASSERT_TRUE(parseStats(V, P, M, T, R, H, Err)) << Err;
+  EXPECT_EQ(H.Hits, 0u);
   EXPECT_EQ(P.Programs, 2u);
   EXPECT_EQ(P.Jobs, 4u);
   EXPECT_EQ(P.Steals, 5u);
@@ -520,7 +527,7 @@ TEST(ServeProtocol, StatsDecoderIgnoresRetiredSharedHitsField) {
   EXPECT_EQ(T.Lookups, 3u);
   EXPECT_EQ(R.Hits, 2u);
   // Re-encoding never emits the retired key.
-  EXPECT_EQ(serializeStats(P, M, T, R).find("snapshot_shared_hits"),
+  EXPECT_EQ(serializeStats(P, M, T, R, H).find("snapshot_shared_hits"),
             std::string::npos);
 }
 
@@ -934,7 +941,9 @@ TEST(ServeDaemonTest, ReclaimablesReturnToZeroBetweenBursts) {
   EngineMemoryStats Memory;
   TranslationCacheStats Translation;
   ResultCacheStats ResultC;
-  ASSERT_TRUE(Client.queryStats(Pool, Memory, Translation, ResultC, Err))
+  HeaderPrefixStats HeaderPrefix;
+  ASSERT_TRUE(Client.queryStats(Pool, Memory, Translation, ResultC,
+                                HeaderPrefix, Err))
       << Err;
   EXPECT_EQ(Memory.PendingJobs, 0u);
   EXPECT_EQ(Memory.GraveyardArtifacts, 0u);
@@ -990,7 +999,9 @@ TEST(ServeDaemonTest, WarmResultCacheSurvivesIdleReclamation) {
   EngineMemoryStats Memory;
   TranslationCacheStats Translation;
   ResultCacheStats ResultC;
-  ASSERT_TRUE(Client.queryStats(Pool, Memory, Translation, ResultC, Err))
+  HeaderPrefixStats HeaderPrefix;
+  ASSERT_TRUE(Client.queryStats(Pool, Memory, Translation, ResultC,
+                                HeaderPrefix, Err))
       << Err;
   EXPECT_GT(ResultC.hitRate(), 0.0);
   EXPECT_EQ(ResultC.Hits - Before.Hits, corpus().size())

@@ -464,6 +464,7 @@ int main(int argc, char **argv) {
   SchedulerStats Pool;
   TranslationCacheStats TStats;
   ResultCacheStats RStats;
+  HeaderPrefixStats HStats;
   if (!RemoteSpec.empty()) {
     RemoteClient Client;
     std::string Err;
@@ -475,7 +476,8 @@ int main(int argc, char **argv) {
       return 3;
     }
     EngineMemoryStats RemoteMemory;
-    if (!Client.queryStats(Pool, RemoteMemory, TStats, RStats, Err)) {
+    if (!Client.queryStats(Pool, RemoteMemory, TStats, RStats, HStats,
+                           Err)) {
       std::fprintf(stderr, "kcc: remote analysis failed: %s\n", Err.c_str());
       return 3;
     }
@@ -495,6 +497,7 @@ int main(int argc, char **argv) {
     Pool = Eng.poolStats();
     TStats = Eng.translationStats();
     RStats = Eng.resultCacheStats();
+    HStats = Eng.headers().prefixStats();
   }
   double WallMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - Start)
@@ -523,7 +526,7 @@ int main(int argc, char **argv) {
       Progs.push_back({&Outcomes[I], Inputs[I].Name, Micros[I],
                        StaticModeName});
     std::fputs(renderJsonDocument(Progs, Pool, TStats, RStats, WallMs,
-                                  ExitCode)
+                                  ExitCode, HStats)
                    .c_str(),
                stdout);
     return ExitCode;
@@ -553,6 +556,7 @@ int main(int argc, char **argv) {
                      strFormat(" wall-ms=%.2f", WallMs));
     printCounterLine("Translation cache:", TStats);
     printCounterLine("Result cache:", RStats);
+    printCounterLine("Header prefix:", HStats);
     for (size_t I = 0; I < Outcomes.size(); ++I) {
       const DriverOutcome &O = Outcomes[I];
       const char *Verdict = O.verdict() == OutcomeVerdict::Undefined
